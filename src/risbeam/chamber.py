@@ -128,6 +128,27 @@ def _noise_means(shape: tuple, budget: LinkBudget, seed: int) -> np.ndarray:
     return out
 
 
+def _check_sweep(spec: ArraySpec, codebook: Codebook,
+                 geometry: ChamberGeometry, seed) -> int:
+    """Input checks shared by the sweeps; returns the validated seed."""
+    seed = _check_seed(seed)
+    if codebook.spec.size != spec.size:
+        raise DomainError("codebook was built for a different array size")
+    if codebook.tx != geometry.tx_dir:
+        raise DomainError(
+            f"codebook tx {codebook.tx} does not match chamber tx "
+            f"{geometry.tx_dir}")
+    return seed
+
+
+def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
+    """Noise-free powers plus per-cell chamber noise, rounded to the dataset
+    serialization precision."""
+    if budget.sample_sigma_db > 0.0:
+        power = power + _noise_means(power.shape, budget, seed)
+    return np.round(power, POWER_DECIMALS)
+
+
 def _rsrp_matrix(spec: ArraySpec, phases: np.ndarray, tx: Direction,
                  rx_dirs: list, budget: LinkBudget) -> np.ndarray:
     """Noise-free RSRP for every (config row, rx direction) pair.
@@ -156,21 +177,13 @@ def sweep_beampattern(spec: ArraySpec, codebook: Codebook,
     every seed.  Cells are rounded to the dataset serialization precision,
     so a table written to CSV reads back exactly equal.
     """
-    seed = _check_seed(seed)
-    if codebook.spec.size != spec.size:
-        raise DomainError("codebook was built for a different array size")
-    if codebook.tx != geometry.tx_dir:
-        raise DomainError(
-            f"codebook tx {codebook.tx} does not match chamber tx "
-            f"{geometry.tx_dir}")
+    seed = _check_sweep(spec, codebook, geometry, seed)
     rotations = geometry.rotations()
     rx_dirs = [geometry.rx_dir(r) for r in rotations]
     power = _rsrp_matrix(spec, codebook.phases(), geometry.tx_dir, rx_dirs,
                          budget)
-    if budget.sample_sigma_db > 0.0:
-        power = power + _noise_means(power.shape, budget, seed)
     return BeampatternTable(codebook.beams.copy(), rotations.astype(float),
-                            np.round(power, POWER_DECIMALS),
+                            _measured(power, budget, seed),
                             float(geometry.tx_dir.azimuth_deg))
 
 
@@ -184,25 +197,16 @@ def sweep_absorption(spec: ArraySpec, codebook: Codebook,
     sides are strictly increasing (duplicates are allowed in memory, e.g.
     for determinism checks, but will be rejected when written).
     """
-    seed = _check_seed(seed)
-    if codebook.spec.size != spec.size:
-        raise DomainError("codebook was built for a different array size")
-    if codebook.tx != geometry.tx_dir:
-        raise DomainError(
-            f"codebook tx {codebook.tx} does not match chamber tx "
-            f"{geometry.tx_dir}")
+    seed = _check_sweep(spec, codebook, geometry, seed)
     rx = [geometry.rx_dir(0.0)]
     phases = codebook.phases()
     columns = []
     for masked in absorption_masks(spec, sides):
         columns.append(_rsrp_matrix(masked, phases, geometry.tx_dir, rx,
                                     budget)[:, 0])
-    power = np.column_stack(columns)
-    if budget.sample_sigma_db > 0.0:
-        power = power + _noise_means(power.shape, budget, seed)
     counts = np.array([s * s for s in sides], dtype=int)
     return AbsorptionTable(codebook.beams.copy(), counts,
-                           np.round(power, POWER_DECIMALS))
+                           _measured(np.column_stack(columns), budget, seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -82,68 +82,50 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     codebook = build_codebook(config.array, config.geometry.tx_dir, config.grid,
                               config.mode)
-    if args.dataset == "beampattern":
-        table = sweep_beampattern(config.array, codebook, config.geometry,
-                                  config.budget, seed=config.seed)
-        path = _out_path(config, args.out, "beampattern.csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_beampattern(table, path)
-        shape = table.power_dbm.shape
-    else:
-        table = sweep_absorption(config.array, codebook, config.geometry,
-                                 config.budget, seed=config.seed)
-        path = _out_path(config, args.out, "absorption.csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_absorption(table, path)
-        shape = table.power_dbm.shape
+    sweep, write = ((sweep_beampattern, write_beampattern)
+                    if args.dataset == "beampattern"
+                    else (sweep_absorption, write_absorption))
+    table = sweep(config.array, codebook, config.geometry, config.budget,
+                  seed=config.seed)
+    path = _out_path(config, args.out, f"{args.dataset}.csv")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(table, path)
+    shape = table.power_dbm.shape
     print(f"{shape[0]} rows x {shape[1]} columns")
     print(f"wrote {path}")
     return 0
 
 
-def _parse_beam(text: str) -> Direction:
+def _parse_point(text: str, form: str) -> tuple:
+    """One finite number per comma-separated field of `form` ('AZ,EL')."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--beam wants 'AZ,EL', got {text!r}")
     try:
-        return Direction(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"--beam {text!r}: {exc}") from exc
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        values = ()
+    if len(values) != form.count(",") + 1 or not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(
+            f"want {form!r} as finite numbers, got {text!r}")
+    return values
 
 
-def _beam_row(table, beam: Direction | None) -> tuple[int, Direction]:
-    if beam is None:
-        row = int(np.argmax(table.power_dbm.max(axis=1)))
-        return row, Direction(*table.beams[row])
-    hits = np.flatnonzero(
-        (table.beams[:, 0] == beam.azimuth_deg)
-        & (table.beams[:, 1] == beam.elevation_deg)
-    )
-    if hits.size == 0:
-        raise NotFoundError(
-            f"beam ({beam.azimuth_deg:g}, {beam.elevation_deg:g}) not in table"
-        )
-    return int(hits[0]), beam
+def _parse_beam(text: str) -> Direction:
+    return Direction(*_parse_point(text, "AZ,EL"))
 
 
 def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
     sg = analysis.SgFilterSpec(window=args.sg_window, order=args.sg_order)
-    row, beam = _beam_row(table, args.beam)
-    angles = table.rotations
-    cut = table.power_dbm[row]
+    beam = args.beam
+    if beam is None:  # strongest row
+        beam = Direction(*table.beams[np.argmax(table.power_dbm.max(axis=1))])
+    angles, cut = table.row((beam.azimuth_deg, beam.elevation_deg))
     label = f"beam ({beam.azimuth_deg:g}, {beam.elevation_deg:g})"
 
     if args.smooth:
         smoothed = np.vstack([analysis.savitzky_golay(r, sg) for r in table.power_dbm])
         out = outdir / "smoothed.csv"
-        _write_csv(
-            out,
-            ["theta_n", "phi_n"] + ["rot_%g" % r for r in table.rotations],
-            [
-                [("%g" % b[0]), ("%g" % b[1])] + ["%.6f" % v for v in rowvals]
-                for b, rowvals in zip(table.beams, smoothed)
-            ],
-        )
+        write_beampattern(BeampatternTable(table.beams, angles, smoothed,
+                                           table.theta_t_deg), out)
         print(f"smooth: wrote {out}")
 
     if args.hpbw:
@@ -284,16 +266,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = surrogate.load_model(args.model)
-    rows = []
-    if args.at:
-        for spec3 in args.at:
-            parts = spec3.split(",")
-            if len(parts) != 3:
-                print(f"predict: --at wants 'AZ,EL,ROT', got {spec3!r}",
-                      file=sys.stderr)
-                return 2
-            az, el, rot = (float(p) for p in parts)
-            rows.append((az, el, rot))
+    rows = list(args.at or [])
     if args.table:
         table = read_table(args.table)
         if not isinstance(table, BeampatternTable):
@@ -375,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="evaluate a saved surrogate model")
     p.add_argument("model", help="model file from train")
     p.add_argument("--at", action="append",
+                   type=lambda text: _parse_point(text, "AZ,EL,ROT"),
                    help="point as 'AZ,EL,ROT' (repeatable)")
     p.add_argument("--table", help="predict at every cell of this table")
     p.add_argument("--out", help="predictions CSV")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .array_model import (ArraySpec, Direction, PhaseConfig,
                           element_phase_profile, quantize_phases, TWO_PI)
+from .datasets import _fmt_angle, _read_lines
 from .errors import DomainError, NotFoundError, ParseError
 
 MODE_TX_COMPENSATED = "tx-compensated"
@@ -185,10 +186,6 @@ def absorption_masks(spec: ArraySpec, sides=(2, 4, 8, 10)) -> list:
 # rebuild the codebook object; the body is one row per beam with the 3-bit
 # (or wider) phase indices.
 
-def _fmt_angle(v: float) -> str:
-    return "%d" % round(v) if float(v) == round(v) else "%.6f" % v
-
-
 def _fmt_g17(v: float) -> str:
     return "%.17g" % v
 
@@ -213,8 +210,7 @@ def write_codebook(codebook: Codebook, path) -> None:
 
 
 def read_codebook(path) -> Codebook:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("# "):
         raise ParseError(f"{path}: missing codebook metadata comment line")
     meta = {}

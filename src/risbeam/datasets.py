@@ -1,23 +1,26 @@
 """Dataset tables and their CSV schemas.
 
-Two table shapes cover every measurement campaign:
+One table implementation holds received power per codebook beam (rows) and
+per label of one column axis.  Two schemas declare that axis and cover every
+measurement campaign:
 
-* beampattern: rows are codebook beams, columns are turntable rotations.
+* beampattern: columns are turntable rotations (float degrees).
   Header ``theta_n,phi_n,rot_<angle>,...`` preceded by one comment line
   ``# theta_t=<deg>`` recording the transmitter azimuth of the campaign.
-* absorption: rows are codebook beams, columns are active-element counts.
+* absorption: columns are active-element counts (integer squares).
   Header ``theta_n,phi_n,n_<count>,...``.
 
-Powers are serialized with 6 decimal places (far below any measurement
-precision), angles as plain integers when integral.  Readers accept an
-optional column-name mapping so externally produced files with renamed
-headers can be ingested without rewriting them.
+Both schemas go through one writer and one reader; ``read_table`` sniffs the
+schema from the header.  Powers are serialized with 6 decimal places (far
+below any measurement precision), angles as plain integers when integral.
+Readers accept an optional column-name mapping so externally produced files
+with renamed headers can be ingested without rewriting them.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +45,15 @@ def _fmt_power(v: float) -> str:
     return "%.6f" % v
 
 
+def _read_lines(path) -> list:
+    """Lines of a UTF-8 text file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _as_beams(beams) -> np.ndarray:
     arr = np.asarray(beams, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -54,8 +66,84 @@ def _nearest(values: np.ndarray, key: float, count: int = 3) -> list:
     return [float(v) for v in values[order]]
 
 
+class _Table:
+    """Received power (dBm) per codebook beam (rows) and column label.
+
+    The two schemas share this body and only declare their column axis: the
+    attribute holding the labels, the label type and noun, the mapping key
+    of the header prefix, whether a ``# theta_t=`` line is carried, and any
+    extra validation rule (``_check_schema``).
+    """
+
+    axis: str
+    axis_type: type
+    noun: str
+    prefix_key: str
+    has_theta_t = False
+
+    @property
+    def _labels(self) -> np.ndarray:
+        return getattr(self, self.axis)
+
+    def __post_init__(self):
+        self.beams = _as_beams(self.beams)
+        setattr(self, self.axis, np.asarray(self._labels, dtype=self.axis_type))
+        self.power_dbm = np.asarray(self.power_dbm, dtype=float)
+        if self._labels.ndim != 1:
+            raise DomainError(f"{self.axis} must be 1-d")
+        if self.power_dbm.shape != (self.beams.shape[0], self._labels.size):
+            raise DomainError(
+                f"power matrix shape {self.power_dbm.shape} does not match "
+                f"{self.beams.shape[0]} beams x {self._labels.size} {self.axis}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def _check_schema(self) -> None:
+        """Schema-specific checks beyond the shared ones."""
+
+    def validate(self) -> None:
+        """Schema checks applied on top of the shape checks: ascending
+        labels, unique beams, sane finite powers."""
+        if np.any(np.diff(self._labels) <= 0):
+            raise DomainError(f"{self.axis} must be strictly ascending")
+        self._check_schema()
+        keys = {(a, e) for a, e in map(tuple, self.beams)}
+        if len(keys) != self.beams.shape[0]:
+            raise DomainError("duplicate beams in table")
+        if not np.all(np.isfinite(self.power_dbm)):
+            raise DomainError("power matrix contains non-finite values")
+        if np.any(self.power_dbm < POWER_SANITY_FLOOR_DBM):
+            raise DomainError(
+                f"power below sanity floor {POWER_SANITY_FLOOR_DBM} dBm")
+
+    def row(self, beam) -> TableSlice:
+        az, el = float(beam[0]), float(beam[1])
+        hits = np.nonzero((self.beams[:, 0] == az)
+                          & (self.beams[:, 1] == el))[0]
+        if hits.size == 0:
+            da = _nearest(self.beams[:, 0], az)
+            de = _nearest(self.beams[:, 1], el)
+            raise NotFoundError(
+                f"beam ({az:g}, {el:g}) not in table; nearest azimuths "
+                f"{da}, nearest elevations {de}")
+        return TableSlice(self._labels.copy(), self.power_dbm[hits[0]].copy())
+
+    def column(self, label) -> TableSlice:
+        key = self.axis_type(label)
+        hits = np.nonzero(self._labels == key)[0]
+        if hits.size == 0:
+            raise NotFoundError(
+                f"{self.noun} {key:g} not in table; nearest "
+                f"{_nearest(self._labels.astype(float), float(key))}")
+        return TableSlice(self.beams.copy(), self.power_dbm[:, hits[0]].copy())
+
+
 @dataclass(eq=False)
-class BeampatternTable:
+class BeampatternTable(_Table):
     """Received power (dBm) per codebook beam and turntable rotation."""
 
     beams: np.ndarray
@@ -63,125 +151,34 @@ class BeampatternTable:
     power_dbm: np.ndarray
     theta_t_deg: float = 0.0
 
-    def __post_init__(self):
-        self.beams = _as_beams(self.beams)
-        self.rotations = np.asarray(self.rotations, dtype=float)
-        self.power_dbm = np.asarray(self.power_dbm, dtype=float)
-        if self.rotations.ndim != 1:
-            raise DomainError("rotations must be 1-d")
-        if self.power_dbm.shape != (self.beams.shape[0], self.rotations.size):
-            raise DomainError(
-                f"power matrix shape {self.power_dbm.shape} does not match "
-                f"{self.beams.shape[0]} beams x {self.rotations.size} rotations")
+    axis = "rotations"
+    axis_type = float
+    noun = "rotation"
+    prefix_key = "rot_prefix"
+    has_theta_t = True
 
-    def __eq__(self, other):
-        if not isinstance(other, BeampatternTable):
-            return NotImplemented
-        return (np.array_equal(self.beams, other.beams)
-                and np.array_equal(self.rotations, other.rotations)
-                and np.array_equal(self.power_dbm, other.power_dbm)
-                and self.theta_t_deg == other.theta_t_deg)
-
-    def validate(self) -> None:
-        """Schema checks applied on top of the shape checks: ascending
-        rotation axis, unique beams, sane finite powers."""
-        if np.any(np.diff(self.rotations) <= 0):
-            raise DomainError("rotations must be strictly ascending")
-        keys = {(a, e) for a, e in map(tuple, self.beams)}
-        if len(keys) != self.beams.shape[0]:
-            raise DomainError("duplicate beams in table")
-        if not np.all(np.isfinite(self.power_dbm)):
-            raise DomainError("power matrix contains non-finite values")
-        if np.any(self.power_dbm < POWER_SANITY_FLOOR_DBM):
-            raise DomainError(
-                f"power below sanity floor {POWER_SANITY_FLOOR_DBM} dBm")
-        if not np.all(np.isfinite(self.theta_t_deg)):
+    def _check_schema(self) -> None:
+        if not np.isfinite(self.theta_t_deg):
             raise DomainError("theta_t must be finite")
-
-    def row(self, beam) -> TableSlice:
-        az, el = float(beam[0]), float(beam[1])
-        hits = np.nonzero((self.beams[:, 0] == az)
-                          & (self.beams[:, 1] == el))[0]
-        if hits.size == 0:
-            da = _nearest(self.beams[:, 0], az)
-            de = _nearest(self.beams[:, 1], el)
-            raise NotFoundError(
-                f"beam ({az:g}, {el:g}) not in table; nearest azimuths "
-                f"{da}, nearest elevations {de}")
-        return TableSlice(self.rotations.copy(), self.power_dbm[hits[0]].copy())
-
-    def column(self, rotation_deg: float) -> TableSlice:
-        hits = np.nonzero(self.rotations == float(rotation_deg))[0]
-        if hits.size == 0:
-            raise NotFoundError(
-                f"rotation {rotation_deg:g} not in table; nearest "
-                f"{_nearest(self.rotations, float(rotation_deg))}")
-        return TableSlice(self.beams.copy(), self.power_dbm[:, hits[0]].copy())
 
 
 @dataclass(eq=False)
-class AbsorptionTable:
+class AbsorptionTable(_Table):
     """Received power (dBm) per codebook beam and active-element count."""
 
     beams: np.ndarray
     active_counts: np.ndarray
     power_dbm: np.ndarray
 
-    def __post_init__(self):
-        self.beams = _as_beams(self.beams)
-        self.active_counts = np.asarray(self.active_counts, dtype=int)
-        self.power_dbm = np.asarray(self.power_dbm, dtype=float)
-        if self.active_counts.ndim != 1:
-            raise DomainError("active_counts must be 1-d")
-        if self.power_dbm.shape != (self.beams.shape[0],
-                                    self.active_counts.size):
-            raise DomainError(
-                f"power matrix shape {self.power_dbm.shape} does not match "
-                f"{self.beams.shape[0]} beams x {self.active_counts.size} counts")
+    axis = "active_counts"
+    axis_type = int
+    noun = "active count"
+    prefix_key = "n_prefix"
 
-    def __eq__(self, other):
-        if not isinstance(other, AbsorptionTable):
-            return NotImplemented
-        return (np.array_equal(self.beams, other.beams)
-                and np.array_equal(self.active_counts, other.active_counts)
-                and np.array_equal(self.power_dbm, other.power_dbm))
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.active_counts) <= 0):
-            raise DomainError("active_counts must be strictly ascending")
+    def _check_schema(self) -> None:
         for c in self.active_counts:
-            side = int(round(np.sqrt(c)))
-            if c < 1 or side * side != c:
+            if c < 1 or int(round(np.sqrt(c))) ** 2 != c:
                 raise DomainError(f"non-square active count {c}")
-        keys = {(a, e) for a, e in map(tuple, self.beams)}
-        if len(keys) != self.beams.shape[0]:
-            raise DomainError("duplicate beams in table")
-        if not np.all(np.isfinite(self.power_dbm)):
-            raise DomainError("power matrix contains non-finite values")
-        if np.any(self.power_dbm < POWER_SANITY_FLOOR_DBM):
-            raise DomainError(
-                f"power below sanity floor {POWER_SANITY_FLOOR_DBM} dBm")
-
-    def row(self, beam) -> TableSlice:
-        az, el = float(beam[0]), float(beam[1])
-        hits = np.nonzero((self.beams[:, 0] == az)
-                          & (self.beams[:, 1] == el))[0]
-        if hits.size == 0:
-            da = _nearest(self.beams[:, 0], az)
-            de = _nearest(self.beams[:, 1], el)
-            raise NotFoundError(
-                f"beam ({az:g}, {el:g}) not in table; nearest azimuths "
-                f"{da}, nearest elevations {de}")
-        return TableSlice(self.active_counts.copy(),
-                          self.power_dbm[hits[0]].copy())
-
-    def column(self, count: int) -> TableSlice:
-        hits = np.nonzero(self.active_counts == int(count))[0]
-        if hits.size == 0:
-            raise NotFoundError(
-                f"active count {count} not in table; nearest "
-                f"{_nearest(self.active_counts.astype(float), float(count))}")
-        return TableSlice(self.beams.copy(), self.power_dbm[:, hits[0]].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +198,18 @@ DEFAULT_MAPPING = {
 def load_column_mapping(path) -> dict:
     """Parse ``key = value`` lines overriding the canonical column names."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {ln}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _MAPPING_KEYS:
-                raise ParseError(
-                    f"{path}: line {ln}: unknown mapping key {key!r}; "
-                    f"known keys: {', '.join(_MAPPING_KEYS)}")
-            mapping[key] = value
+    for ln, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {ln}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _MAPPING_KEYS:
+            raise ParseError(
+                f"{path}: line {ln}: unknown mapping key {key!r}; "
+                f"known keys: {', '.join(_MAPPING_KEYS)}")
+        mapping[key] = value
     return mapping
 
 
@@ -228,15 +224,16 @@ def _resolve_mapping(mapping) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# writers
+# writer and reader, one each for both schemas
 
-def write_beampattern(table: BeampatternTable, path) -> None:
+def _write_table(table: _Table, path) -> None:
     table.validate()
     buf = io.StringIO()
-    buf.write("# theta_t=%s\n" % _fmt_angle(table.theta_t_deg))
+    if table.has_theta_t:
+        buf.write("# theta_t=%s\n" % _fmt_angle(table.theta_t_deg))
+    prefix = DEFAULT_MAPPING[table.prefix_key]
     buf.write("theta_n,phi_n,"
-              + ",".join("rot_%s" % _fmt_angle(r) for r in table.rotations)
-              + "\n")
+              + ",".join(prefix + _fmt_angle(v) for v in table._labels) + "\n")
     for (az, el), row in zip(table.beams, table.power_dbm):
         buf.write(_fmt_angle(az) + "," + _fmt_angle(el) + ","
                   + ",".join(_fmt_power(p) for p in row) + "\n")
@@ -244,24 +241,16 @@ def write_beampattern(table: BeampatternTable, path) -> None:
         fh.write(buf.getvalue())
 
 
-def write_absorption(table: AbsorptionTable, path) -> None:
-    table.validate()
-    buf = io.StringIO()
-    buf.write("theta_n,phi_n,"
-              + ",".join("n_%d" % c for c in table.active_counts) + "\n")
-    for (az, el), row in zip(table.beams, table.power_dbm):
-        buf.write(_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                  + ",".join(_fmt_power(p) for p in row) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
-
-
-# ---------------------------------------------------------------------------
-# readers
-
-def _read_lines(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _parse_theta_t(path, line: str, key: str) -> float:
+    comment = line.lstrip("#").strip()
+    if not comment.startswith(key + "="):
+        raise ParseError(
+            f"{path}: line 1: expected comment '# {key}=<deg>', got {line!r}")
+    try:
+        return float(comment[len(key) + 1:])
+    except ValueError:
+        raise ParseError(f"{path}: line 1: bad {key} "
+                         f"value {comment[len(key) + 1:]!r}") from None
 
 
 def _parse_rows(path, lines, start_ln, n_cols):
@@ -290,110 +279,75 @@ def _parse_rows(path, lines, start_ln, n_cols):
     return np.array(beams, float), np.array(rows, float)
 
 
-def read_beampattern(path, mapping: dict | None = None) -> BeampatternTable:
-    names = _resolve_mapping(mapping)
-    lines = _read_lines(path)
+def _read(cls, path, names: dict, lines: list) -> _Table:
+    """Parse `lines` of `path` as a `cls` table and validate it."""
     if not lines:
         raise ParseError(f"{path}: empty file")
-
-    theta_t = 0.0
-    body = lines
-    start_ln = 1
-    if lines[0].startswith("#"):
-        comment = lines[0].lstrip("#").strip()
-        key = names["theta_t_key"] + "="
-        if not comment.startswith(key):
-            raise ParseError(
-                f"{path}: line 1: expected comment '# {names['theta_t_key']}"
-                f"=<deg>', got {lines[0]!r}")
-        try:
-            theta_t = float(comment[len(key):])
-        except ValueError:
-            raise ParseError(f"{path}: line 1: bad {names['theta_t_key']} "
-                             f"value {comment[len(key):]!r}") from None
-        body = lines[1:]
-        start_ln = 2
-
-    if not body:
+    extra = {}
+    head = 0
+    if cls.has_theta_t and lines[0].startswith("#"):
+        extra["theta_t_deg"] = _parse_theta_t(path, lines[0],
+                                              names["theta_t_key"])
+        head = 1
+    if head == len(lines):
         raise ParseError(f"{path}: missing header row")
-    header = body[0].split(",")
-    if len(header) < 3 or header[0] != names["theta_n"] \
-            or header[1] != names["phi_n"]:
+    header = lines[head].split(",")
+    if len(header) < 3 or header[:2] != [names["theta_n"], names["phi_n"]]:
         raise ParseError(
-            f"{path}: line {start_ln}: header must start with "
+            f"{path}: line {head + 1}: header must start with "
             f"'{names['theta_n']},{names['phi_n']}'")
-    prefix = names["rot_prefix"]
-    rotations = []
+    prefix = names[cls.prefix_key]
+    labels = []
     for col, name in enumerate(header[2:], start=3):
         if not name.startswith(prefix):
             raise ParseError(f"{path}: header column {col} ({name!r}) does "
                              f"not start with {prefix!r}")
         try:
-            rotations.append(float(name[len(prefix):]))
+            labels.append(cls.axis_type(name[len(prefix):]))
         except ValueError:
             raise ParseError(f"{path}: header column {col} ({name!r}): "
-                             f"bad rotation angle") from None
+                             f"bad {cls.noun}") from None
 
-    beams, power = _parse_rows(path, body[1:], start_ln + 1, len(rotations))
-    table = BeampatternTable(beams, np.array(rotations), power, theta_t)
+    beams, power = _parse_rows(path, lines[head + 1:], head + 2, len(labels))
+    table = cls(beams, labels, power, **extra)
     try:
         table.validate()
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return table
+
+
+# One entry point per schema over the shared writer and reader.  The writers
+# are separate functions, not aliases, so each keeps its own __name__ for the
+# per-layer tracing in perfbench/, which names layers by function.
+
+def write_beampattern(table: BeampatternTable, path) -> None:
+    _write_table(table, path)
+
+
+def write_absorption(table: AbsorptionTable, path) -> None:
+    _write_table(table, path)
+
+
+def read_beampattern(path, mapping: dict | None = None) -> BeampatternTable:
+    return _read(BeampatternTable, path, _resolve_mapping(mapping),
+                 _read_lines(path))
 
 
 def read_absorption(path, mapping: dict | None = None) -> AbsorptionTable:
-    names = _resolve_mapping(mapping)
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) < 3 or header[0] != names["theta_n"] \
-            or header[1] != names["phi_n"]:
-        raise ParseError(f"{path}: line 1: header must start with "
-                         f"'{names['theta_n']},{names['phi_n']}'")
-    prefix = names["n_prefix"]
-    counts = []
-    for col, name in enumerate(header[2:], start=3):
-        if not name.startswith(prefix):
-            raise ParseError(f"{path}: header column {col} ({name!r}) does "
-                             f"not start with {prefix!r}")
-        tail = name[len(prefix):]
-        try:
-            count = int(tail)
-        except ValueError:
-            raise ParseError(f"{path}: header column {col} ({name!r}): "
-                             f"bad active count") from None
-        side = int(round(np.sqrt(count))) if count > 0 else 0
-        if count < 1 or side * side != count:
-            raise ParseError(f"{path}: header column {col} ({name!r}): "
-                             f"non-square active count {count}")
-        counts.append(count)
-
-    beams, power = _parse_rows(path, lines[1:], 2, len(counts))
-    table = AbsorptionTable(beams, np.array(counts, int), power)
-    try:
-        table.validate()
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return table
+    return _read(AbsorptionTable, path, _resolve_mapping(mapping),
+                 _read_lines(path))
 
 
 def read_table(path, mapping: dict | None = None):
-    """Sniff the schema from the header and dispatch to the right reader."""
+    """Sniff the schema from the header and read the table with it."""
     names = _resolve_mapping(mapping)
     lines = _read_lines(path)
-    header = None
-    for line in lines:
-        if not line.startswith("#"):
-            header = line
-            break
+    header = next((line for line in lines if not line.startswith("#")), None)
     if header is None:
         raise ParseError(f"{path}: no header row found")
     third = header.split(",")[2:3]
-    if third and third[0].startswith(names["rot_prefix"]):
-        return read_beampattern(path, mapping)
-    if third and third[0].startswith(names["n_prefix"]):
-        return read_absorption(path, mapping)
+    for cls in (BeampatternTable, AbsorptionTable):
+        if third and third[0].startswith(names[cls.prefix_key]):
+            return _read(cls, path, names, lines)
     raise ParseError(f"{path}: cannot identify schema from header {header!r}")

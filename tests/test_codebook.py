@@ -215,6 +215,13 @@ class TestCodebookIo:
         with pytest.raises(ParseError, match="line 6"):
             read_codebook(p)
 
+    def test_non_utf8_rejected(self, default_codebook, tmp_path):
+        p = tmp_path / "cb.csv"
+        write_codebook(default_codebook, p)
+        p.write_bytes(p.read_bytes().replace(b"tx-compensated", b"tx-\xffcomp"))
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_codebook(p)
+
     def test_out_of_range_index_rejected(self, tmp_path):
         spec = ArraySpec(2, 1)
         cb = build_codebook(spec, Direction(0, 0),

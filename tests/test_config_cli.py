@@ -260,11 +260,15 @@ class TestAnalyzeCommand:
                                   capsys):
         assert main(["analyze", str(default_beampattern_csv), "--hpbw",
                      "--beam", "1,0", "--out-dir", str(tmp_path)]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and "nearest azimuths" in err
+        assert "Traceback" not in err
 
     def test_malformed_beam_exits_2(self, default_beampattern_csv, capsys):
-        assert main(["analyze", str(default_beampattern_csv), "--hpbw",
-                     "--beam", "1;0"]) == 2
+        for beam in ("1;0", "a,b", "1,nan", "inf,0", "0,0,0", "100,0"):
+            assert main(["analyze", str(default_beampattern_csv), "--hpbw",
+                         "--beam", beam]) == 2, beam
+            assert "Traceback" not in capsys.readouterr().err, beam
 
     def test_localize_writes_estimates(self, default_beampattern_csv,
                                        tmp_path, capsys):
@@ -281,6 +285,25 @@ class TestAnalyzeCommand:
         assert (tmp_path / "smoothed.csv").exists()
         svg = (tmp_path / "beampattern.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_smooth_keeps_theta_t(self, tmp_path, capsys):
+        p = tmp_path / "tilted.csv"
+        p.write_text("# theta_t=10\ntheta_n,phi_n,rot_-3,rot_0,rot_3\n"
+                     "0,0,-70,-60,-70\n3,0,-75,-72,-74\n")
+        assert main(["analyze", str(p), "--smooth", "--sg-window", "3",
+                     "--sg-order", "1", "--out-dir", str(tmp_path)]) == 0
+        smoothed = read_table(tmp_path / "smoothed.csv")
+        assert smoothed.theta_t_deg == 10.0
+        np.testing.assert_array_equal(smoothed.rotations, [-3.0, 0.0, 3.0])
+        assert (tmp_path / "smoothed.csv").read_text().startswith(
+            "# theta_t=10\ntheta_n,phi_n,rot_-3,rot_0,rot_3\n0,0,")
+
+    def test_non_utf8_table_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"theta_n,phi_n,rot_0\n0,0,-60\xb0\n")
+        assert main(["analyze", str(p), "--hpbw"]) == 1
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "Traceback" not in err
 
     def test_reconstruct_writes_grid(self, default_beampattern_csv, tmp_path,
                                      capsys):
@@ -398,7 +421,11 @@ class TestTrainPredictCommands:
         model_path = tmp_path / "model.txt"
         main(["train", str(small_beampattern_csv), "--out", str(model_path),
               "--epochs", "1", "--batch-size", "5"])
-        assert main(["predict", str(model_path), "--at", "1,2"]) == 2
+        capsys.readouterr()
+        for at in ("1,2", "a,b,c", "1,2,inf", "nan,0,0", "1,2,3,4"):
+            assert main(["predict", str(model_path), "--at", at]) == 2, at
+            err = capsys.readouterr().err
+            assert "AZ,EL,ROT" in err and "Traceback" not in err, at
 
     def test_predict_corrupt_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

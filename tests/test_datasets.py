@@ -141,21 +141,27 @@ class TestRoundTrips:
         assert read_beampattern(p) == quiet_beampattern
 
     @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_random_table_round_trip(self, tmp_path_factory, data):
+    @given(st.data(), st.sampled_from([
+        (BeampatternTable, lambda n: np.arange(n) * 3.0,
+         write_beampattern, read_beampattern),
+        (AbsorptionTable, lambda n: (np.arange(n) + 1) ** 2,
+         write_absorption, read_absorption),
+    ]))
+    def test_random_table_round_trip(self, tmp_path_factory, data, schema):
+        cls, labels, write, read = schema
         n_beams = data.draw(st.integers(1, 6))
         n_rot = data.draw(st.integers(1, 5))
         beams = [(3 * i, -3 * i) for i in range(n_beams)]
-        rotations = np.arange(n_rot) * 3.0
         power = data.draw(
             st.lists(
                 st.lists(st.floats(-120, 0).map(lambda v: round(v, 6)),
                          min_size=n_rot, max_size=n_rot),
                 min_size=n_beams, max_size=n_beams))
-        t = BeampatternTable(beams, rotations, power)
+        t = cls(beams, labels(n_rot), power)
         p = tmp_path_factory.mktemp("rt") / "t.csv"
-        write_beampattern(t, p)
-        assert read_beampattern(p) == t
+        write(t, p)
+        assert read(p) == t
+        assert read_table(p) == t
 
 
 class TestReaderErrors:
@@ -200,6 +206,13 @@ class TestReaderErrors:
         p.write_text("theta_n,phi_n,n_50\n0,0,-60\n")
         with pytest.raises(ParseError, match="non-square"):
             read_absorption(p)
+
+    @pytest.mark.parametrize("reader", [read_beampattern, read_table])
+    def test_non_utf8_is_parse_error(self, tmp_path, reader):
+        p = tmp_path / "bp.csv"
+        p.write_bytes(b"theta_n,phi_n,rot_0\n0,0,-60\xff\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            reader(p)
 
     def test_validation_failure_reported_as_parse_error(self, tmp_path):
         p = tmp_path / "bp.csv"
