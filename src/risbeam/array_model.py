@@ -180,23 +180,22 @@ def ideal_config(spec: ArraySpec, tx: Direction, beam: Direction) -> PhaseConfig
 def quantize_phases(phases: np.ndarray, phase_set: np.ndarray) -> np.ndarray:
     """Indices of the circularly nearest phase-set entry, ties to the lower index.
 
-    Works on any trailing shape; the distance is min(|d|, 2*pi - |d|) computed
-    on phases pre-wrapped to [0, 2*pi), which keeps exact ties exact.
+    phase_set must ascend within [0, 2*pi).  One path for every set size:
+    each wrapped phase is compared by min(|d|, 2*pi - |d|) with just its two
+    circular neighbours, found by binary search, so memory is O(n).  This is
+    the full argmin, exact ties included, when entries are a few ulps apart.
     """
     wrapped = np.asarray(phases, dtype=float) % TWO_PI
-    if phase_set.size >= 64 and np.array_equal(
-        phase_set, uniform_phase_set(phase_set.size)
-    ):
-        # Dense uniform sets would make the distance tensor below huge; the
-        # nearest cell is directly computable instead. Agrees with the
-        # general path everywhere except knife-edge ties a float ulp from a
-        # half-cell boundary, which cannot arise at these set densities.
-        cell = TWO_PI / phase_set.size
-        idx = np.ceil(wrapped / cell - 0.5).astype(np.int64) % phase_set.size
-        return idx
-    straight = np.abs(wrapped[..., None] - phase_set)
-    circular = np.minimum(straight, TWO_PI - straight)
-    return np.argmin(circular, axis=-1)
+    above = np.searchsorted(phase_set, wrapped, side="right") % phase_set.size
+    below = (above - 1) % phase_set.size
+
+    def circular(idx):
+        straight = np.abs(wrapped - phase_set[idx])
+        return np.minimum(straight, TWO_PI - straight)
+
+    d_above, d_below = circular(above), circular(below)
+    take_above = (d_above < d_below) | ((d_above == d_below) & (above < below))
+    return np.where(take_above, above, below)
 
 
 def quantize_config(spec: ArraySpec, config: PhaseConfig) -> PhaseConfig:

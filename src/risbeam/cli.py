@@ -20,6 +20,7 @@ from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
     BeampatternTable,
+    _write_lines,
     load_column_mapping,
     read_table,
     write_absorption,
@@ -50,10 +51,8 @@ _RUNTIME_ERRORS = (
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _write_lines(path, (",".join(str(v) for v in line)
+                        for line in [header, *rows]))
 
 
 def _load_config(args) -> CampaignConfig:

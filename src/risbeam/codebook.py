@@ -8,14 +8,13 @@ Rows are ordered azimuth-major with elevation varying fastest, i.e.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .array_model import (ArraySpec, Direction, PhaseConfig,
                           element_phase_profile, quantize_phases, TWO_PI)
-from .datasets import _fmt_angle, _read_lines
+from .datasets import _fmt_angle, _read_lines, _write_lines
 from .errors import DomainError, NotFoundError, ParseError
 
 MODE_TX_COMPENSATED = "tx-compensated"
@@ -192,21 +191,22 @@ def _fmt_g17(v: float) -> str:
 
 def write_codebook(codebook: Codebook, path) -> None:
     spec, tx = codebook.spec, codebook.tx
-    buf = io.StringIO()
-    buf.write("# nx=%d ny=%d delta=%s frequency_hz=%s"
-              " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s\n" % (
-                  spec.nx, spec.ny, _fmt_g17(spec.delta),
-                  _fmt_g17(spec.frequency_hz),
-                  _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
-                  codebook.mode,
-                  ",".join(_fmt_g17(p) for p in spec.phase_set)))
-    buf.write("theta_n,phi_n," +
-              ",".join("idx_%d" % k for k in range(spec.size)) + "\n")
-    for (az, el), row in zip(codebook.beams, codebook.indices):
-        buf.write(_fmt_angle(az) + "," + _fmt_angle(el) + "," +
-                  ",".join("%d" % i for i in row) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+
+    def lines():
+        yield ("# nx=%d ny=%d delta=%s frequency_hz=%s"
+               " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s" % (
+                   spec.nx, spec.ny, _fmt_g17(spec.delta),
+                   _fmt_g17(spec.frequency_hz),
+                   _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
+                   codebook.mode,
+                   ",".join(_fmt_g17(p) for p in spec.phase_set)))
+        yield "theta_n,phi_n," + ",".join("idx_%d" % k
+                                          for k in range(spec.size))
+        for (az, el), row in zip(codebook.beams, codebook.indices):
+            yield (_fmt_angle(az) + "," + _fmt_angle(el) + ","
+                   + ",".join("%d" % i for i in row))
+
+    _write_lines(path, lines())
 
 
 def read_codebook(path) -> Codebook:
@@ -219,10 +219,16 @@ def read_codebook(path) -> Codebook:
             raise ParseError(f"{path}: bad metadata token {token!r}")
         k, v = token.split("=", 1)
         meta[k] = v
+    if len(lines) < 2:
+        raise ParseError(f"{path}: missing header row")
+    columns = sum(c.startswith("idx_") for c in lines[1].split(","))
     try:
+        nx, ny = int(meta["nx"]), int(meta["ny"])
+        # checked before ArraySpec: nx and ny alone could ask for any memory
+        if nx * ny != columns:
+            raise DomainError(f"{nx}x{ny} array but {columns} idx columns")
         spec = ArraySpec(
-            int(meta["nx"]), int(meta["ny"]), float(meta["delta"]),
-            float(meta["frequency_hz"]),
+            nx, ny, float(meta["delta"]), float(meta["frequency_hz"]),
             np.array([float(p) for p in meta["phase_set"].split(",")]))
         tx = Direction(float(meta["tx_azimuth"]), float(meta["tx_elevation"]))
         mode = meta["mode"]
@@ -231,8 +237,6 @@ def read_codebook(path) -> Codebook:
     except (ValueError, DomainError) as exc:
         raise ParseError(f"{path}: bad metadata: {exc}") from None
 
-    if len(lines) < 2:
-        raise ParseError(f"{path}: missing header row")
     expected = "theta_n,phi_n," + ",".join(
         "idx_%d" % k for k in range(spec.size))
     if lines[1] != expected:

@@ -99,7 +99,7 @@ def load_campaign_config(path=None) -> CampaignConfig:
         parser = configparser.ConfigParser(interpolation=None)
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             parser.read_string(text, source=str(path))

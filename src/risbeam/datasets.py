@@ -19,7 +19,7 @@ with renamed headers can be ingested without rewriting them.
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -52,6 +52,24 @@ def _read_lines(path) -> list:
             return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _write_lines(path, lines) -> None:
+    """Write `lines` (strings without their newline) as UTF-8 text.
+
+    The lines stream into a temp file in the same directory that then
+    replaces `path`, so an interrupted write leaves the old file intact and
+    the whole text is never held in memory at once.
+    """
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _as_beams(beams) -> np.ndarray:
@@ -228,17 +246,18 @@ def _resolve_mapping(mapping) -> dict:
 
 def _write_table(table: _Table, path) -> None:
     table.validate()
-    buf = io.StringIO()
-    if table.has_theta_t:
-        buf.write("# theta_t=%s\n" % _fmt_angle(table.theta_t_deg))
     prefix = DEFAULT_MAPPING[table.prefix_key]
-    buf.write("theta_n,phi_n,"
-              + ",".join(prefix + _fmt_angle(v) for v in table._labels) + "\n")
-    for (az, el), row in zip(table.beams, table.power_dbm):
-        buf.write(_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                  + ",".join(_fmt_power(p) for p in row) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+
+    def lines():
+        if table.has_theta_t:
+            yield "# theta_t=%s" % _fmt_angle(table.theta_t_deg)
+        yield "theta_n,phi_n," + ",".join(prefix + _fmt_angle(v)
+                                           for v in table._labels)
+        for (az, el), row in zip(table.beams, table.power_dbm):
+            yield (_fmt_angle(az) + "," + _fmt_angle(el) + ","
+                   + ",".join(_fmt_power(p) for p in row))
+
+    _write_lines(path, lines())
 
 
 def _parse_theta_t(path, line: str, key: str) -> float:

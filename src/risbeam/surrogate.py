@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import nmse
-from .datasets import BeampatternTable
+from .datasets import BeampatternTable, _write_lines
 from .errors import DomainError, ModelFormatError
 
 __all__ = [
@@ -386,7 +386,7 @@ def save_model(model: MlpModel, path) -> None:
         for row in w:
             lines.append("w " + _format_vector(row))
         lines.append("b " + _format_vector(b))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _parse_floats(body: str, count: int, where: str) -> np.ndarray:
@@ -400,8 +400,10 @@ def _parse_floats(body: str, count: int, where: str) -> np.ndarray:
 
 
 def load_model(path) -> MlpModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != _MODEL_MAGIC:
         raise ModelFormatError(
             f"not a recognized model file (expected first line {_MODEL_MAGIC!r})"

@@ -3,11 +3,11 @@ these renderings exist so a campaign can be eyeballed without extra tools."""
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .datasets import _write_lines
 from .errors import DomainError
 
 __all__ = ["line_plot"]
@@ -139,4 +139,4 @@ def line_plot(
             )
             out.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
     out.append("</g></svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, out)

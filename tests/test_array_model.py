@@ -39,6 +39,31 @@ def brute_force_steering(spec, direction):
 angles = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
 
+def dense_argmin(values, phase_set):
+    """Circular distance to every entry, first minimum wins; the oracle for
+    quantize_phases."""
+    straight = np.abs((np.asarray(values, float) % TWO_PI)[..., None]
+                      - phase_set)
+    return np.argmin(np.minimum(straight, TWO_PI - straight), axis=-1)
+
+
+def _spaced(entries, gap=1e-9):
+    """Ascending entries at least `gap` apart, also across the 2*pi wrap."""
+    kept = []
+    for p in sorted(entries):
+        if not kept or p - kept[-1] >= gap:
+            kept.append(p)
+    while len(kept) > 1 and kept[0] + TWO_PI - kept[-1] < gap:
+        kept.pop()
+    return np.array(kept)
+
+
+phase_sets = st.one_of(
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+             min_size=1, max_size=40).map(_spaced),
+    st.integers(1, 512).map(uniform_phase_set))
+
+
 class TestDirection:
     def test_bounds(self):
         Direction(-90, 90)
@@ -231,15 +256,28 @@ class TestQuantization:
         err = np.minimum(err, TWO_PI - err)
         assert np.all(err <= np.pi / count + 1e-12)
 
-    def test_dense_fast_path_matches_generic(self, rng):
-        # the generic argmin path is the oracle for the >= 64 shortcut
-        values = rng.uniform(-20, 20, 400)
-        for count in (64, 256, 4096):
-            phase_set = uniform_phase_set(count)
-            fast = quantize_phases(values, phase_set)
-            straight = np.abs((values % TWO_PI)[:, None] - phase_set)
-            generic = np.argmin(np.minimum(straight, TWO_PI - straight), axis=-1)
-            np.testing.assert_array_equal(fast, generic)
+    @settings(max_examples=200, deadline=None)
+    @given(phase_sets,
+           st.lists(st.floats(-20.0, 20.0), max_size=30))
+    def test_matches_dense_argmin(self, phase_set, values):
+        wrap_mid = ((phase_set[-1] + phase_set[0] + TWO_PI) / 2) % TWO_PI
+        points = np.concatenate([
+            values, phase_set, (phase_set[:-1] + phase_set[1:]) / 2,
+            [wrap_mid, 0.0, -0.0, np.nextafter(TWO_PI, 0)]])
+        np.testing.assert_array_equal(quantize_phases(points, phase_set),
+                                      dense_argmin(points, phase_set))
+
+    @pytest.mark.parametrize("count", [8, 64, 4096])
+    def test_half_cell_ties_match_dense_argmin(self, count):
+        # Every half-cell point, and the wrap point 2*pi - cell/2 between
+        # the top entry and entry 0.  Where rounding makes the two
+        # distances exactly equal (the wrap point at 64, many interior
+        # points at 4096) the lower index must win, as in the oracle.
+        phase_set = uniform_phase_set(count)
+        cell = TWO_PI / count
+        points = np.append(phase_set[:-1] + cell / 2, TWO_PI - cell / 2)
+        np.testing.assert_array_equal(quantize_phases(points, phase_set),
+                                      dense_argmin(points, phase_set))
 
 
 class TestQuantizationLoss:

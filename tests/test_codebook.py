@@ -215,6 +215,16 @@ class TestCodebookIo:
         with pytest.raises(ParseError, match="line 6"):
             read_codebook(p)
 
+    def test_header_dimensions_must_match_columns(self, tmp_path):
+        # 1e8 x 1e8 elements would ask for petabytes before reading a row
+        p = tmp_path / "cb.csv"
+        p.write_text("# nx=100000000 ny=100000000 delta=0.5"
+                     " frequency_hz=5.3e9 tx_azimuth=0 tx_elevation=0"
+                     " mode=tx-compensated phase_set=0,3.14\n"
+                     "theta_n,phi_n,idx_0\n0,0,0\n")
+        with pytest.raises(ParseError, match="1 idx columns"):
+            read_codebook(p)
+
     def test_non_utf8_rejected(self, default_codebook, tmp_path):
         p = tmp_path / "cb.csv"
         write_codebook(default_codebook, p)

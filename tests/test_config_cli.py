@@ -298,13 +298,6 @@ class TestAnalyzeCommand:
         assert (tmp_path / "smoothed.csv").read_text().startswith(
             "# theta_t=10\ntheta_n,phi_n,rot_-3,rot_0,rot_3\n0,0,")
 
-    def test_non_utf8_table_exits_1(self, tmp_path, capsys):
-        p = tmp_path / "latin1.csv"
-        p.write_bytes(b"theta_n,phi_n,rot_0\n0,0,-60\xb0\n")
-        assert main(["analyze", str(p), "--hpbw"]) == 1
-        err = capsys.readouterr().err
-        assert "UTF-8" in err and "Traceback" not in err
-
     def test_reconstruct_writes_grid(self, default_beampattern_csv, tmp_path,
                                      capsys):
         assert main(["analyze", str(default_beampattern_csv),
@@ -449,3 +442,16 @@ class TestArgparsePassthrough:
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["analyze", "{path}", "--hpbw"], 1, id="table"),
+    pytest.param(["predict", "{path}", "--at", "0,0,0"], 1, id="model"),
+    pytest.param(["codebook", "--config", "{path}"], 2, id="ini"),
+])
+def test_non_utf8_input_exits_cleanly(argv, code, tmp_path, capsys):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"\xff\xfe" + "[array]\nnx = 4\n".encode("utf-16-le"))
+    assert main([a.replace("{path}", str(p)) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "utf-8" in err.lower() and "Traceback" not in err

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,20 @@ class TestRoundTrips:
         assert lines[0] == "# theta_t=-1.500000"
         assert lines[1] == "theta_n,phi_n,rot_-6,rot_0,rot_6"
         assert lines[2].startswith("-3,0,")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "bp.csv"
+        write_beampattern(small_beampattern(), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_beampattern(BeampatternTable([(0, 0)], [0.0], [[-70.0]]), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["bp.csv"]
 
     def test_campaign_round_trip(self, quiet_beampattern, tmp_path):
         p = tmp_path / "campaign.csv"
