@@ -62,13 +62,15 @@ class SgFilterSpec:
             )
 
 
-def _fit_eval(x: np.ndarray, y: np.ndarray, order: int, at: float) -> float:
+def _fit_eval(x: np.ndarray, y: np.ndarray, order: int,
+              at: float) -> np.ndarray:
     # Center the Vandermonde basis on the evaluation point so the constant
-    # coefficient is the fitted value itself.
+    # coefficient is the fitted value itself. y is (rows, len(x)): one
+    # least-squares solve with a right-hand side per row.
     powers = np.arange(order + 1)
     v = (x - at)[:, None] ** powers[None, :]
-    coef, *_ = np.linalg.lstsq(v, y, rcond=None)
-    return float(coef[0])
+    coef, *_ = np.linalg.lstsq(v, y.T, rcond=None)
+    return coef[0]
 
 
 def _interior_weights(window: int, order: int) -> np.ndarray:
@@ -87,29 +89,40 @@ def _interior_weights(window: int, order: int) -> np.ndarray:
 def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
     """Least-squares polynomial smoothing with one-sided edge windows.
 
+    `values` is one series or a (rows, n) table; a table is smoothed along
+    its last axis, each row independently, and comes back with its shape.
     Interior points get the classic centered fit. The first and last
     half-window points are fitted on the truncated window that remains
     inside the series (no mirror padding), so polynomials up to `order`
-    pass through unchanged everywhere, edges included.
+    pass through unchanged everywhere, edges included. Each edge position
+    is one least-squares solve for all rows at once.
     """
-    v = _as_vector(values, "values")
-    if v.size < spec.window:
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DomainError(f"values must be 1-d or 2-d, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("values contains non-finite values")
+    n = v.shape[-1]
+    if n < spec.window:
         raise DomainError(
-            f"series of length {v.size} shorter than window {spec.window}"
+            f"series of length {n} shorter than window {spec.window}"
         )
+    table = v.reshape(-1, n)
     half = spec.window // 2
-    out = np.empty_like(v)
-    out[half : v.size - half] = np.correlate(
-        v, _interior_weights(spec.window, spec.order), mode="valid"
-    )
-    positions = np.arange(v.size, dtype=float)
+    out = np.empty_like(table)
+    weights = _interior_weights(spec.window, spec.order)
+    for series, smoothed in zip(table, out):
+        smoothed[half : n - half] = np.correlate(series, weights, mode="valid")
+    positions = np.arange(n, dtype=float)
     for i in range(half):
         stop = i + half + 1
-        out[i] = _fit_eval(positions[:stop], v[:stop], spec.order, float(i))
-    for i in range(v.size - half, v.size):
+        out[:, i] = _fit_eval(positions[:stop], table[:, :stop], spec.order,
+                              float(i))
+    for i in range(n - half, n):
         start = i - half
-        out[i] = _fit_eval(positions[start:], v[start:], spec.order, float(i))
-    return out
+        out[:, i] = _fit_eval(positions[start:], table[:, start:], spec.order,
+                              float(i))
+    return out.reshape(v.shape)
 
 
 def hpbw(angles_deg, power_dbm) -> float:

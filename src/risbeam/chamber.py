@@ -3,9 +3,11 @@
 The receiver sits on a boom at a fixed elevation while the table under the
 array rotates in azimuth; the transmitter illuminates the array from a fixed
 direction.  Each measured cell is an average of a few noisy RSRP samples.
-Every cell draws its noise from its own counter-based PRNG stream keyed by
-(seed, row, column), so tables are reproducible and independent of the order
-in which cells are evaluated.
+Every cell draws its noise from its own counter-based Philox stream: key =
+seed, counter = [0, 0, row, column].  One bit generator serves a whole table;
+it is repositioned at each cell's counter rather than rebuilt, which yields
+the same samples, so tables are reproducible and independent of the order in
+which cells are evaluated.
 """
 
 from __future__ import annotations
@@ -105,26 +107,42 @@ def field_regions(geometry: ChamberGeometry, frequency_hz: float) -> tuple:
     return 2.0 * d * d / lam, 0.62 * np.sqrt(d ** 3 / lam)
 
 
-def _cell_rng(seed: int, row: int, col: int) -> np.random.Generator:
-    """Counter-based stream private to one table cell."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    (seed >> 64) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    counter = np.array([0, 0, row, col], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+SEED_LIMIT = 1 << 128  # a Philox key holds 128 bits
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < SEED_LIMIT:
+        raise DomainError(
+            f"seed must be an integer in [0, 2**128), got {seed!r}")
     return int(seed)
 
 
 def _noise_means(shape: tuple, budget: LinkBudget, seed: int) -> np.ndarray:
+    """Mean of `samples_per_point` N(0, sigma) draws for every table cell.
+
+    Cell (row, col) draws from Philox(key=seed, counter=[0, 0, row, col]).
+    One Generator is built per call and moved to each cell's counter, with
+    its buffer emptied, so every cell gets exactly the samples of a fresh
+    generator at that counter.  Samples are drawn one row at a time, so the
+    scratch buffer stays (cols, samples_per_point) whatever the row count.
+    """
+    seed = _check_seed(seed)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    rows, cols = shape
+    z = np.empty((cols, budget.samples_per_point))
     out = np.empty(shape)
-    for r in range(shape[0]):
-        for c in range(shape[1]):
-            out[r, c] = _cell_rng(seed, r, c).normal(
-                0.0, budget.sample_sigma_db, budget.samples_per_point).mean()
+    for r in range(rows):
+        counter[2] = r
+        for c in range(cols):
+            counter[3] = c
+            bitgen.state = state
+            rng.standard_normal(out=z[c])
+        # the loc + scale * z of Generator.normal, then the per-cell mean
+        out[r] = (0.0 + budget.sample_sigma_db * z).mean(axis=1)
     return out
 
 

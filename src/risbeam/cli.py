@@ -108,6 +108,17 @@ def _parse_point(text: str, form: str) -> tuple:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"want a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_beam(text: str) -> Direction:
     return Direction(*_parse_point(text, "AZ,EL"))
 
@@ -117,14 +128,16 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
     beam = args.beam
     if beam is None:  # strongest row
         beam = Direction(*table.beams[np.argmax(table.power_dbm.max(axis=1))])
-    angles, cut = table.row((beam.azimuth_deg, beam.elevation_deg))
+    key = (beam.azimuth_deg, beam.elevation_deg)
+    angles, cut = table.row(key)
     label = f"beam ({beam.azimuth_deg:g}, {beam.elevation_deg:g})"
 
     if args.smooth:
-        smoothed = np.vstack([analysis.savitzky_golay(r, sg) for r in table.power_dbm])
+        smoothed = BeampatternTable(
+            table.beams, angles,
+            analysis.savitzky_golay(table.power_dbm, sg), table.theta_t_deg)
         out = outdir / "smoothed.csv"
-        write_beampattern(BeampatternTable(table.beams, angles, smoothed,
-                                           table.theta_t_deg), out)
+        write_beampattern(smoothed, out)
         print(f"smooth: wrote {out}")
 
     if args.hpbw:
@@ -167,7 +180,7 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
     if args.svg:
         series = [(angles, cut, label)]
         if args.smooth:
-            series.append((angles, analysis.savitzky_golay(cut, sg), "smoothed"))
+            series.append((angles, smoothed.row(key).values, "smoothed"))
         out = outdir / "beampattern.svg"
         svgplot.line_plot(series, out, title="Reflection pattern",
                           x_label="rotation (deg)", y_label="RSRP (dBm)")
@@ -341,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--split-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="evaluate a saved surrogate model")

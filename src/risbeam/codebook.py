@@ -150,8 +150,8 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     py = np.sin(np.deg2rad(elevations))[:, None] * dy[None, :]  # (n_el, ny)
     raw = (px[:, None, :, None] + py[None, :, None, :]).reshape(-1, spec.size)
     if mode == MODE_TX_COMPENSATED:
-        raw = raw - element_phase_profile(spec, tx)[None, :]
-    indices = quantize_phases(raw % TWO_PI, spec.phase_set)
+        raw -= element_phase_profile(spec, tx)[None, :]
+    indices = quantize_phases(raw, spec.phase_set)
 
     beams = np.column_stack([
         np.repeat(azimuths.astype(float), elevations.size),

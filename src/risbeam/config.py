@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .array_model import ArraySpec, Direction, uniform_phase_set
 from .codebook import MODE_TX_COMPENSATED, MODE_UNCOMPENSATED, CodebookGrid
-from .chamber import ChamberGeometry, LinkBudget
+from .chamber import ChamberGeometry, LinkBudget, _check_seed
 from .errors import ConfigError, DomainError
 
 __all__ = ["CampaignConfig", "load_campaign_config", "OUTPUT_DIR_ENV"]
@@ -164,6 +164,7 @@ def load_campaign_config(path=None) -> CampaignConfig:
                 pick("codebook", "elevation_step_deg", 3.0),
             ),
         )
+        seed = _check_seed(pick("campaign", "seed", 0))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,9 +174,6 @@ def load_campaign_config(path=None) -> CampaignConfig:
             f"mode must be {MODE_TX_COMPENSATED!r} or {MODE_UNCOMPENSATED!r}, "
             f"got {mode!r}"
         )
-    seed = pick("campaign", "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
     out = values["campaign"].get("output_dir")
     output_dir = Path(out) if out else default_output_dir()
     return CampaignConfig(

@@ -83,6 +83,31 @@ class TestSavitzkyGolay:
         with pytest.raises(DomainError, match="shorter than window"):
             savitzky_golay(np.zeros(6))
 
+    @pytest.mark.parametrize("window, order, atol", [
+        (7, 4, 0.0), (3, 1, 0.0), (11, 4, 1e-12), (15, 6, 1e-12)])
+    def test_table_matches_row_by_row(self, rng, window, order, atol):
+        spec = SgFilterSpec(window=window, order=order)
+        table = -60.0 + rng.normal(0, 3, (40, 61))
+        rows = np.vstack([savitzky_golay(r, spec) for r in table])
+        out = savitzky_golay(table, spec)
+        assert out.shape == table.shape
+        if atol == 0.0:
+            np.testing.assert_array_equal(out, rows)
+        else:
+            np.testing.assert_allclose(out, rows, rtol=0, atol=atol)
+
+    def test_short_table_rejected(self):
+        with pytest.raises(DomainError, match="shorter than window"):
+            savitzky_golay(np.zeros((4, 6)))
+
+    def test_bad_rank_or_values_rejected(self):
+        with pytest.raises(DomainError, match="1-d or 2-d"):
+            savitzky_golay(np.zeros((2, 2, 9)))
+        table = np.zeros((3, 9))
+        table[1, 4] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            savitzky_golay(table)
+
     def test_wider_window(self):
         i = np.arange(30, dtype=float)
         v = 2 * i ** 2 - i

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam.array_model import (
     ArraySpec,
@@ -14,6 +16,7 @@ from risbeam.chamber import (
     POWER_DECIMALS,
     ChamberGeometry,
     LinkBudget,
+    SEED_LIMIT,
     _noise_means,
     field_regions,
     rsrp,
@@ -31,6 +34,20 @@ from risbeam.errors import DomainError, NotFoundError
 # calibration -60 dBm combined with the -90 dBm floor; every lossless
 # measurement in the default budget lands exactly here
 PEAK_DBM = 10.0 * math.log10(10.0 ** -6.0 + 10.0 ** -9.0)
+
+
+def per_cell_noise_means(shape, budget, seed):
+    """Oracle: a fresh Generator per cell at its counter [0, 0, row, col]."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+    out = np.empty(shape)
+    for r in range(shape[0]):
+        for c in range(shape[1]):
+            counter = np.array([0, 0, r, c], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key,
+                                                       counter=counter))
+            out[r, c] = rng.normal(0.0, budget.sample_sigma_db,
+                                   budget.samples_per_point).mean()
+    return out
 
 
 class TestGeometry:
@@ -149,11 +166,36 @@ class TestNoise:
         assert abs(means.mean()) < 0.01
         assert means.std() == pytest.approx(0.5 / math.sqrt(30), rel=0.1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 70),
+           samples=st.sampled_from([1, 2, 7, 30, 129, 200]),
+           sigma=st.sampled_from([1e-3, 0.25, 0.5, 2.0, 7.5]),
+           seed=st.one_of(st.integers(0, 2 ** 16),
+                          st.integers(2 ** 64, SEED_LIMIT - 1),
+                          st.just(SEED_LIMIT - 1)))
+    def test_matches_per_cell_generators(self, rows, cols, samples, sigma,
+                                         seed):
+        budget = LinkBudget(sample_sigma_db=sigma, samples_per_point=samples)
+        np.testing.assert_array_equal(
+            _noise_means((rows, cols), budget, seed),
+            per_cell_noise_means((rows, cols), budget, seed))
+
     def test_rejects_bad_seed(self, default_spec, default_codebook,
                               default_geometry, quiet_budget):
         with pytest.raises(DomainError):
             sweep_beampattern(default_spec, default_codebook,
                               default_geometry, quiet_budget, seed=-1)
+
+    @pytest.mark.parametrize("seed", [SEED_LIMIT, SEED_LIMIT + 5, 2 ** 200])
+    def test_rejects_seed_beyond_key_width(self, seed, default_spec,
+                                           default_codebook,
+                                           default_geometry):
+        # a 128-bit key would silently alias these to smaller seeds
+        with pytest.raises(DomainError, match="2\\*\\*128"):
+            _noise_means((2, 2), LinkBudget(), seed)
+        with pytest.raises(DomainError):
+            sweep_absorption(default_spec, default_codebook,
+                             default_geometry, LinkBudget(), seed=seed)
 
 
 class TestSweepBeampattern:

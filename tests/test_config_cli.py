@@ -120,6 +120,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             load_campaign_config(p)
 
+    def test_seed_beyond_128_bits_rejected(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[campaign]\nseed = {2 ** 128}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            load_campaign_config(p)
+        p.write_text(f"[campaign]\nseed = {2 ** 128 - 1}\n")
+        assert load_campaign_config(p).seed == 2 ** 128 - 1
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_campaign_config(tmp_path / "nope.ini")
@@ -161,6 +169,17 @@ class TestCodebookCommand:
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
         assert main(["codebook", "--config", str(small_config)]) == 0
         assert (outdir / "codebook.csv").exists()
+
+    @pytest.mark.parametrize("command", ["codebook", "simulate"])
+    def test_seed_beyond_128_bits_exits_2(self, command, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text(SMALL_CAMPAIGN + f"\n[campaign]\nseed = {2 ** 128}\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"
@@ -424,6 +443,15 @@ class TestTrainPredictCommands:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a model\n")
         assert main(["predict", str(bad), "--at", "0,0,0"]) == 1
+
+    def test_train_bad_seed_exits_2(self, small_beampattern_csv, tmp_path,
+                                    capsys):
+        for seed in ("-1", "-7", "x", "1.5"):
+            assert main(["train", str(small_beampattern_csv), "--out",
+                         str(tmp_path / "m.txt"), "--seed", seed]) == 2, seed
+            err = capsys.readouterr().err
+            assert "--seed" in err and "Traceback" not in err, seed
+        assert not (tmp_path / "m.txt").exists()
 
     def test_train_on_absorption_exits_1(self, slice_absorption_csv,
                                          tmp_path, capsys):
