@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from risbeam.chamber import sample_count_study
+from risbeam.datasets import _write_lines
 from risbeam.svgplot import line_plot
 
 
@@ -33,15 +34,14 @@ def main(argv=None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     series = []
-    with open(args.out / "cdf.csv", "w", encoding="ascii", newline="\n") as f:
-        f.write("count,relative_error,cumulative_fraction\n")
-        for count in counts:
-            errors, fractions = study.cdf(count)
-            series.append((errors, fractions, f"{count} samples"))
-            for e, p in zip(errors, fractions):
-                f.write(f"{count},{e:.9g},{p:.9g}\n")
-            print(f"count {count:3d}: p90 relative error "
-                  f"{study.percentile(count, 90):.6g}")
+    lines = ["count,relative_error,cumulative_fraction"]
+    for count in counts:
+        errors, fractions = study.cdf(count)
+        series.append((errors, fractions, f"{count} samples"))
+        lines.extend(f"{count},{e:.9g},{p:.9g}" for e, p in zip(errors, fractions))
+        print(f"count {count:3d}: p90 relative error "
+              f"{study.percentile(count, 90):.6g}")
+    _write_lines(args.out / "cdf.csv", lines)
 
     line_plot(series, args.out / "cdf.svg",
               title="relative averaging error vs sample count",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArraySpec, Direction, SPEED_OF_LIGHT, TWO_PI,
-                          element_phase_profile)
+from .array_model import (ArraySpec, Direction, SPEED_OF_LIGHT,
+                          element_phase_profile, received_signal)
 from .codebook import Codebook, _axis_values, absorption_masks
 from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
@@ -87,7 +87,6 @@ def rsrp(spec: ArraySpec, config, tx: Direction, rx: Direction,
     signal = calibration + 20*log10(|y| / active_count); an all-absorbing
     array (or an exact null) measures exactly the noise floor.
     """
-    from .array_model import received_signal
     m = spec.active_count
     if m == 0:
         return float(budget.noise_floor_dbm)

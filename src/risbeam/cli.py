@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, surrogate, svgplot
 from .array_model import Direction
 from .chamber import sweep_absorption, sweep_beampattern
-from .codebook import build_codebook, read_codebook, write_codebook
+from .codebook import build_codebook, write_codebook
 from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
@@ -55,10 +55,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
                         for line in [header, *rows]))
 
 
-def _load_config(args) -> CampaignConfig:
-    return load_campaign_config(args.config)
-
-
 def _out_path(config: CampaignConfig, explicit, default_name: str) -> Path:
     if explicit:
         return Path(explicit)
@@ -66,7 +62,7 @@ def _out_path(config: CampaignConfig, explicit, default_name: str) -> Path:
 
 
 def _cmd_codebook(args) -> int:
-    config = _load_config(args)
+    config = load_campaign_config(args.config)
     codebook = build_codebook(config.array, config.geometry.tx_dir, config.grid,
                               config.mode)
     path = _out_path(config, args.out, "codebook.csv")
@@ -78,7 +74,7 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config = load_campaign_config(args.config)
     codebook = build_codebook(config.array, config.geometry.tx_dir, config.grid,
                               config.mode)
     sweep, write = ((sweep_beampattern, write_beampattern)

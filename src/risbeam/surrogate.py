@@ -8,7 +8,7 @@ Training is bit-reproducible for a fixed (records, specs, seed) triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 _MODEL_MAGIC = "risbeam-mlp v1"
+
+# Adam moment decays and denominator guard (Kingma & Ba 2015 defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,6 @@ class TrainSpec:
     epochs: int = 750
     batch_size: int = 100
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     split_fraction: float = 0.8
     seed: int = 0
 
@@ -170,19 +172,36 @@ def split_records(
     return permutation[:cut], permutation[cut:]
 
 
+def _layer_views(
+    flat: np.ndarray, spec: MlpSpec
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into one flat parameter vector.
+
+    Layer i occupies fan_in * fan_out weights (row-major) followed by its
+    fan_out biases; writing through a view writes the flat vector.
+    """
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in spec.layer_shapes():
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop : stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 def _init_params(
     spec: MlpSpec, rng: np.random.Generator, zero_head: bool
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases = [], []
+) -> np.ndarray:
+    """Flat parameter vector: Glorot-uniform weights, zero biases."""
     shapes = spec.layer_shapes()
-    for i, (fan_in, fan_out) in enumerate(shapes):
-        if zero_head and i == len(shapes) - 1:
-            weights.append(np.zeros((fan_in, fan_out)))
-        else:
+    flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes))
+    weights, _ = _layer_views(flat, spec)
+    for i, ((fan_in, fan_out), w) in enumerate(zip(shapes, weights)):
+        if not (zero_head and i == len(shapes) - 1):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return flat
 
 
 def _forward_states(
@@ -198,27 +217,23 @@ def _forward_states(
 
 
 def _gradients(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """MSE loss and its gradients for one batch (normalized spaces)."""
+    params: np.ndarray, spec: MlpSpec, x: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """MSE loss and its flat gradient for one batch (normalized spaces)."""
+    weights, biases = _layer_views(params, spec)
     activations = _forward_states(weights, biases, x)
-    out = activations[-1]
-    diff = out - y
+    diff = activations[-1] - y
     loss = float(np.mean(diff**2))
-    n = x.shape[0]
     # d loss / d out; the mean runs over every output entry.
-    delta = 2.0 * diff / (n * y.shape[1])
-    grad_w = [np.empty_like(w) for w in weights]
-    grad_b = [np.empty_like(b) for b in biases]
+    delta = 2.0 * diff / (x.shape[0] * y.shape[1])
+    grad = np.empty_like(params)
+    grad_w, grad_b = _layer_views(grad, spec)
     for i in range(len(weights) - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
         if i > 0:
             delta = (delta @ weights[i].T) * (1.0 - activations[i] ** 2)
-    return loss, grad_w, grad_b
+    return loss, grad
 
 
 def train(
@@ -264,7 +279,8 @@ def train(
     # training trajectory is a function of train_spec.seed.
     rng = np.random.default_rng(train_spec.seed)
     rng.permutation(records.shape[0])  # replay the split draw
-    weights, biases = _init_params(mlp_spec, rng, zero_head=True)
+    params = _init_params(mlp_spec, rng, zero_head=True)
+    weights, biases = _layer_views(params, mlp_spec)
 
     model = MlpModel(
         spec=mlp_spec,
@@ -278,37 +294,26 @@ def train(
     x = model.normalize_inputs(train_x_raw)
     y = ((train_y_raw - mean) / std)[:, None]
 
-    moments1_w = [np.zeros_like(w) for w in weights]
-    moments2_w = [np.zeros_like(w) for w in weights]
-    moments1_b = [np.zeros_like(b) for b in biases]
-    moments2_b = [np.zeros_like(b) for b in biases]
-    b1, b2, eps, lr = (
-        train_spec.adam_beta1,
-        train_spec.adam_beta2,
-        train_spec.adam_eps,
-        train_spec.learning_rate,
-    )
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    b1, b2, lr = _ADAM_BETA1, _ADAM_BETA2, train_spec.learning_rate
     step = 0
     for _ in range(train_spec.epochs):
         order = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], train_spec.batch_size):
             batch = order[start : start + train_spec.batch_size]
-            _, grad_w, grad_b = _gradients(weights, biases, x[batch], y[batch])
+            _, g = _gradients(params, mlp_spec, x[batch], y[batch])
             step += 1
             correct1 = 1.0 - b1**step
             correct2 = 1.0 - b2**step
-            for params, grads, m1, m2 in (
-                (weights, grad_w, moments1_w, moments2_w),
-                (biases, grad_b, moments1_b, moments2_b),
-            ):
-                for p, g, m, v in zip(params, grads, m1, m2):
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g**2
-                    p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g**2
+            # In place: the model's weights and biases are views of params.
+            params -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
         if epoch_loss_out is not None:
-            loss, _, _ = _gradients(weights, biases, x, y)
+            loss, _ = _gradients(params, mlp_spec, x, y)
             epoch_loss_out.append(loss)
 
     train_nmse = nmse(model.predict_batch(train_x_raw), train_y_raw)
@@ -332,36 +337,28 @@ def gradient_check(
     which is the self-test that the check can actually catch a bug.
     """
     rng = np.random.default_rng(seed)
-    weights, biases = _init_params(mlp_spec, rng, zero_head=False)
-    for b in biases:
+    params = _init_params(mlp_spec, rng, zero_head=False)
+    for b in _layer_views(params, mlp_spec)[1]:
         b += rng.uniform(-0.1, 0.1, size=b.shape)
     x = rng.uniform(-1.0, 1.0, size=(batch_size, mlp_spec.input_dim))
     y = rng.uniform(-1.0, 1.0, size=(batch_size, mlp_spec.output_dim))
 
-    _, grad_w, grad_b = _gradients(weights, biases, x, y)
+    _, grad = _gradients(params, mlp_spec, x, y)
     if flip_sign:
-        grad_w = [-g for g in grad_w]
-        grad_b = [-g for g in grad_b]
-
-    def loss_now() -> float:
-        loss, _, _ = _gradients(weights, biases, x, y)
-        return loss
+        grad = -grad
 
     worst = 0.0
-    for params, grads in ((weights, grad_w), (biases, grad_b)):
-        for p, g in zip(params, grads):
-            flat = p.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = loss_now()
-                flat[i] = keep - step
-                down = loss_now()
-                flat[i] = keep
-                numeric = (up - down) / (2.0 * step)
-                analytic = float(g.reshape(-1)[i])
-                denom = max(abs(analytic), abs(numeric), 1e-8)
-                worst = max(worst, abs(analytic - numeric) / denom)
+    for i in range(params.size):
+        keep = params[i]
+        params[i] = keep + step
+        up, _ = _gradients(params, mlp_spec, x, y)
+        params[i] = keep - step
+        down, _ = _gradients(params, mlp_spec, x, y)
+        params[i] = keep
+        numeric = (up - down) / (2.0 * step)
+        analytic = float(grad[i])
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
 

@@ -10,6 +10,8 @@ from risbeam.surrogate import (
     MlpSpec,
     TrainSpec,
     _gradients,
+    _init_params,
+    _layer_views,
     flatten_table,
     gradient_check,
     load_model,
@@ -110,17 +112,40 @@ class TestSplitRecords:
             split_records(np.zeros((1, 4)), TrainSpec())
 
 
+def reference_gradients(weights, biases, x, y):
+    """Per-layer-list backprop, the oracle for the flat-vector `_gradients`."""
+    activations = [x]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w + b
+        activations.append(np.tanh(z) if i < last else z)
+    out = activations[-1]
+    diff = out - y
+    loss = float(np.mean(diff**2))
+    n = x.shape[0]
+    delta = 2.0 * diff / (n * y.shape[1])
+    grad_w = [np.empty_like(w) for w in weights]
+    grad_b = [np.empty_like(b) for b in biases]
+    for i in range(len(weights) - 1, -1, -1):
+        grad_w[i] = activations[i].T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * (1.0 - activations[i] ** 2)
+    return loss, grad_w, grad_b
+
+
 class TestGradients:
     def test_single_neuron_closed_form(self):
         # one tanh unit then a linear head: every gradient is hand-checkable
         w1, b1, w2, b2 = 0.7, -0.2, 1.3, 0.4
-        weights = [np.array([[w1]]), np.array([[w2]])]
-        biases = [np.array([b1]), np.array([b2])]
+        spec = MlpSpec(hidden_layers=1, hidden_width=1, input_dim=1)
+        params = np.array([w1, b1, w2, b2])  # flat layout: w, b per layer
         x = np.array([[0.5], [-1.0]])
         y = np.array([[0.3], [-0.6]])
         a1 = np.tanh(w1 * x + b1)
         out = w2 * a1 + b2
-        loss, grad_w, grad_b = _gradients(weights, biases, x, y)
+        loss, grad = _gradients(params, spec, x, y)
+        grad_w, grad_b = _layer_views(grad, spec)
         assert loss == pytest.approx(float(np.mean((out - y) ** 2)))
         delta = 2.0 * (out - y) / 2.0
         assert grad_w[1][0, 0] == pytest.approx(float((a1 * delta).sum()))
@@ -128,6 +153,24 @@ class TestGradients:
         hidden_delta = delta * w2 * (1 - a1 ** 2)
         assert grad_w[0][0, 0] == pytest.approx(float((x * hidden_delta).sum()))
         assert grad_b[0][0] == pytest.approx(float(hidden_delta.sum()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.integers(1, 4), width=st.integers(1, 16),
+           rows=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+    def test_flat_matches_reference_exactly(self, layers, width, rows, seed):
+        spec = MlpSpec(hidden_layers=layers, hidden_width=width)
+        rng = np.random.default_rng(seed)
+        params = _init_params(spec, rng, zero_head=False)
+        params += rng.uniform(-0.1, 0.1, size=params.shape)
+        x = rng.uniform(-1.0, 1.0, size=(rows, spec.input_dim))
+        y = rng.uniform(-1.0, 1.0, size=(rows, spec.output_dim))
+        weights, biases = _layer_views(params.copy(), spec)
+        ref_loss, ref_w, ref_b = reference_gradients(weights, biases, x, y)
+        loss, grad = _gradients(params, spec, x, y)
+        assert loss == ref_loss
+        expected = np.concatenate(
+            [part.reshape(-1) for gw, gb in zip(ref_w, ref_b) for part in (gw, gb)])
+        assert np.array_equal(grad, expected)
 
 
 class TestGradientCheck:
