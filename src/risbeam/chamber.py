@@ -18,7 +18,7 @@ import numpy as np
 
 from .array_model import (ArraySpec, Direction, SPEED_OF_LIGHT,
                           element_phase_profile, received_signal)
-from .codebook import Codebook, _axis_values, absorption_masks
+from .codebook import Codebook, _axis_values, _row_blocks, absorption_masks
 from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
 
@@ -166,20 +166,29 @@ def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     return np.round(power, POWER_DECIMALS)
 
 
-def _rsrp_matrix(spec: ArraySpec, phases: np.ndarray, tx: Direction,
-                 rx_dirs: list, budget: LinkBudget) -> np.ndarray:
+def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
+                 tx: Direction, rx_dirs: list,
+                 budget: LinkBudget) -> np.ndarray:
     """Noise-free RSRP for every (config row, rx direction) pair.
 
-    Same math as the scalar rsrp(), vectorized over both axes.
+    Same math as the scalar rsrp(), vectorized over both axes.  `indices`
+    holds one row of phase-set indices per config; each is looked up in the
+    phasor table exp(1j * phase_set), which equals exp(1j * phase) cell by
+    cell.
     """
     m = spec.active_count
+    if m == 0:
+        return np.full((indices.shape[0], len(rx_dirs)),
+                       float(budget.noise_floor_dbm))
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
                          for rx in rx_dirs])            # (size, n_rx), conjugated
-    excited = spec.mask * np.exp(1j * phases) * g       # (n_cfg, size)
+    phasors = np.exp(1j * phase_set)
+    excited = np.empty(indices.shape, dtype=complex)    # (n_cfg, size)
+    for rows in _row_blocks(*indices.shape):
+        np.multiply(spec.mask * phasors[indices[rows]], g, out=excited[rows])
+    # one product over every row keeps the BLAS summation order fixed
     mag = np.abs(excited @ h)                           # (n_cfg, n_rx)
-    if m == 0:
-        return np.full(mag.shape, float(budget.noise_floor_dbm))
     with np.errstate(divide="ignore"):
         signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
     return _combine_with_floor(signal, budget.noise_floor_dbm)
@@ -197,8 +206,8 @@ def sweep_beampattern(spec: ArraySpec, codebook: Codebook,
     seed = _check_sweep(spec, codebook, geometry, seed)
     rotations = geometry.rotations()
     rx_dirs = [geometry.rx_dir(r) for r in rotations]
-    power = _rsrp_matrix(spec, codebook.phases(), geometry.tx_dir, rx_dirs,
-                         budget)
+    power = _rsrp_matrix(spec, codebook.indices, codebook.spec.phase_set,
+                         geometry.tx_dir, rx_dirs, budget)
     return BeampatternTable(codebook.beams.copy(), rotations.astype(float),
                             _measured(power, budget, seed),
                             float(geometry.tx_dir.azimuth_deg))
@@ -216,11 +225,11 @@ def sweep_absorption(spec: ArraySpec, codebook: Codebook,
     """
     seed = _check_sweep(spec, codebook, geometry, seed)
     rx = [geometry.rx_dir(0.0)]
-    phases = codebook.phases()
     columns = []
     for masked in absorption_masks(spec, sides):
-        columns.append(_rsrp_matrix(masked, phases, geometry.tx_dir, rx,
-                                    budget)[:, 0])
+        columns.append(_rsrp_matrix(masked, codebook.indices,
+                                    codebook.spec.phase_set, geometry.tx_dir,
+                                    rx, budget)[:, 0])
     counts = np.array([s * s for s in sides], dtype=int)
     return AbsorptionTable(codebook.beams.copy(), counts,
                            _measured(np.column_stack(columns), budget, seed))

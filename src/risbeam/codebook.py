@@ -21,6 +21,24 @@ MODE_TX_COMPENSATED = "tx-compensated"
 MODE_UNCOMPENSATED = "uncompensated"
 MODES = (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED)
 
+# Codebook-sized matrices are processed this many cells at a time, so the
+# float and complex temporaries stay a few MB, near cache size, however
+# large the array grows.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(rows: int, size: int) -> list:
+    """Slices over `rows` rows of `size` cells, each a whole number of rows
+    (at least one) and at most _BLOCK_ELEMENTS cells when a row fits."""
+    step = max(1, _BLOCK_ELEMENTS // size)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _index_type(phase_set: np.ndarray) -> type:
+    # int16 covers the realistic 3-bit sets; oversized phase sets (used as
+    # near-continuous references) need the wider type.
+    return np.int16 if phase_set.size <= 2**15 else np.int32
+
 
 def _axis_values(name: str, lo, hi, step) -> np.ndarray:
     """Integer-degree axis lo..hi inclusive; fractional grids are rejected
@@ -78,17 +96,16 @@ class Codebook:
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         beams = np.asarray(self.beams, dtype=float)
-        # int16 covers the realistic 3-bit sets; oversized phase sets (used
-        # as near-continuous references) need the wider type.
-        index_type = np.int16 if self.spec.phase_set.size <= 2**15 else np.int32
-        indices = np.asarray(self.indices, dtype=index_type)
+        indices = np.asarray(self.indices)
         if beams.ndim != 2 or beams.shape[1] != 2:
             raise DomainError("beams must have shape (n, 2)")
         if indices.shape != (beams.shape[0], self.spec.size):
             raise DomainError(
                 f"indices must have shape ({beams.shape[0]}, {self.spec.size})")
+        # checked before the cast, which would wrap e.g. 65536 to 0 in int16
         if np.any(indices < 0) or np.any(indices >= self.spec.phase_set.size):
             raise DomainError("indices outside the phase set")
+        indices = indices.astype(_index_type(self.spec.phase_set), copy=False)
         object.__setattr__(self, "beams", beams)
         object.__setattr__(self, "indices", indices)
         row_of = {(float(a), float(e)): i for i, (a, e) in enumerate(beams)}
@@ -100,10 +117,6 @@ class Codebook:
     def config(self, row: int) -> PhaseConfig:
         idx = np.asarray(self.indices[row], dtype=int)
         return PhaseConfig(self.spec.phase_set[idx], idx)
-
-    def phases(self) -> np.ndarray:
-        """(n, size) matrix of quantized phases in radians."""
-        return self.spec.phase_set[np.asarray(self.indices, dtype=int)]
 
     def index_of(self, beam: Direction) -> int:
         key = (float(beam.azimuth_deg), float(beam.elevation_deg))
@@ -137,7 +150,8 @@ def build_codebook(spec: ArraySpec, tx: Direction,
 
     tx-compensated rows equal quantize_config(ideal_config(spec, tx, beam));
     uncompensated rows drop the transmitter term and quantize arg h(beam)
-    alone, which shifts the real beam away from the nominal label.
+    alone, which shifts the real beam away from the nominal label.  Rows are
+    quantized in blocks of beams; the block size does not change any index.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -148,10 +162,15 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     dy = TWO_PI * spec.delta * np.arange(spec.ny)
     px = np.sin(np.deg2rad(azimuths))[:, None] * dx[None, :]    # (n_az, nx)
     py = np.sin(np.deg2rad(elevations))[:, None] * dy[None, :]  # (n_el, ny)
-    raw = (px[:, None, :, None] + py[None, :, None, :]).reshape(-1, spec.size)
-    if mode == MODE_TX_COMPENSATED:
-        raw -= element_phase_profile(spec, tx)[None, :]
-    indices = quantize_phases(raw, spec.phase_set)
+    tx_profile = element_phase_profile(spec, tx)
+    n = azimuths.size * elevations.size
+    indices = np.empty((n, spec.size), dtype=_index_type(spec.phase_set))
+    for rows in _row_blocks(n, spec.size):
+        az, el = np.divmod(np.arange(rows.start, rows.stop), elevations.size)
+        raw = (px[az][:, :, None] + py[el][:, None, :]).reshape(-1, spec.size)
+        if mode == MODE_TX_COMPENSATED:
+            raw -= tx_profile
+        indices[rows] = quantize_phases(raw, spec.phase_set)
 
     beams = np.column_stack([
         np.repeat(azimuths.astype(float), elevations.size),
@@ -191,6 +210,9 @@ def _fmt_g17(v: float) -> str:
 
 def write_codebook(codebook: Codebook, path) -> None:
     spec, tx = codebook.spec, codebook.tx
+    # Codebook validated every index against the phase set, so one string
+    # per phase-set entry covers the body.
+    lut = ["%d" % i for i in range(spec.phase_set.size)]
 
     def lines():
         yield ("# nx=%d ny=%d delta=%s frequency_hz=%s"
@@ -204,7 +226,7 @@ def write_codebook(codebook: Codebook, path) -> None:
                                           for k in range(spec.size))
         for (az, el), row in zip(codebook.beams, codebook.indices):
             yield (_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                   + ",".join("%d" % i for i in row))
+                   + ",".join([lut[i] for i in row.tolist()]))
 
     _write_lines(path, lines())
 
@@ -242,20 +264,23 @@ def read_codebook(path) -> Codebook:
     if lines[1] != expected:
         raise ParseError(f"{path}: header does not match the codebook schema")
 
-    beams, rows = [], []
-    for ln, line in enumerate(lines[2:], start=3):
+    body = lines[2:]
+    beams = np.empty((len(body), 2))
+    rows = np.empty((len(body), spec.size), dtype=np.int64)
+    for r, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != 2 + spec.size:
             raise ParseError(
-                f"{path}: line {ln}: expected {2 + spec.size} fields, "
+                f"{path}: line {r + 3}: expected {2 + spec.size} fields, "
                 f"got {len(parts)}")
         try:
-            beams.append((float(parts[0]), float(parts[1])))
-            rows.append([int(p) for p in parts[2:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: {exc}") from None
+            beams[r] = float(parts[0]), float(parts[1])
+            # one conversion per row, int()'s syntax for every field;
+            # values past int64 raise OverflowError
+            rows[r] = np.array(parts[2:], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: line {r + 3}: {exc}") from None
     try:
-        return Codebook(spec, tx, mode, np.array(beams, float).reshape(-1, 2),
-                        np.array(rows, int).reshape(-1, spec.size))
+        return Codebook(spec, tx, mode, beams, rows)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None

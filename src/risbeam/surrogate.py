@@ -313,8 +313,9 @@ def train(
             # In place: the model's weights and biases are views of params.
             params -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
         if epoch_loss_out is not None:
-            loss, _ = _gradients(params, mlp_spec, x, y)
-            epoch_loss_out.append(loss)
+            # the loss _gradients would report, without its backward pass
+            out = _forward_states(weights, biases, x)[-1]
+            epoch_loss_out.append(float(np.mean((out - y) ** 2)))
 
     train_nmse = nmse(model.predict_batch(train_x_raw), train_y_raw)
     val_nmse = nmse(model.predict_batch(val_x_raw), val_y_raw)

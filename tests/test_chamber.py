@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risbeam import codebook as codebook_module
 from risbeam.array_model import (
     ArraySpec,
     Direction,
+    element_phase_profile,
     ideal_config,
     quantize_config,
     uniform_phase_set,
@@ -17,7 +20,9 @@ from risbeam.chamber import (
     ChamberGeometry,
     LinkBudget,
     SEED_LIMIT,
+    _combine_with_floor,
     _noise_means,
+    _rsrp_matrix,
     field_regions,
     rsrp,
     sample_count_study,
@@ -27,8 +32,11 @@ from risbeam.chamber import (
 from risbeam.codebook import (
     MODE_UNCOMPENSATED,
     CodebookGrid,
+    absorption_masks,
     build_codebook,
+    write_codebook,
 )
+from risbeam.datasets import write_absorption, write_beampattern
 from risbeam.errors import DomainError, NotFoundError
 
 # calibration -60 dBm combined with the -90 dBm floor; every lossless
@@ -48,6 +56,23 @@ def per_cell_noise_means(shape, budget, seed):
             out[r, c] = rng.normal(0.0, budget.sample_sigma_db,
                                    budget.samples_per_point).mean()
     return out
+
+
+def phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget):
+    """Oracle: the sweep matrix from the (configs, size) phase matrix
+    through exp(1j * phases), all rows at once, as before the phasor
+    lookup."""
+    m = spec.active_count
+    g = np.exp(1j * element_phase_profile(spec, tx))
+    h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
+                         for rx in rx_dirs])
+    excited = spec.mask * np.exp(1j * phases) * g
+    mag = np.abs(excited @ h)
+    if m == 0:
+        return np.full(mag.shape, float(budget.noise_floor_dbm))
+    with np.errstate(divide="ignore"):
+        signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
+    return _combine_with_floor(signal, budget.noise_floor_dbm)
 
 
 class TestGeometry:
@@ -302,6 +327,95 @@ class TestBruteForceAgreement:
                               default_geometry.rx_dir(rot), quiet_budget)
                 assert table.power_dbm[row, col] == round(
                     direct, POWER_DECIMALS)
+
+
+def _masked(spec, kind, rng):
+    if kind == "full":
+        return spec
+    if kind == "none":
+        return spec.with_mask(np.zeros(spec.size, bool))
+    if kind == "absorption":
+        side = int(rng.integers(1, min(spec.nx, spec.ny) + 1))
+        return absorption_masks(spec, (side,))[0]
+    return spec.with_mask(rng.random(spec.size) < 0.5)
+
+
+class TestPhasorLookup:
+    """_rsrp_matrix looks each index up in exp(1j * phase_set) and excites
+    the configs block by block; the result must equal the whole-matrix
+    exp(1j * phases) path exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(nx=st.integers(1, 20), ny=st.integers(1, 20),
+           phase_count=st.one_of(st.integers(1, 4096),
+                                 st.just(2**15 + 1)),
+           configs=st.integers(1, 40),
+           mask=st.sampled_from(["full", "random", "absorption", "none"]),
+           rx_count=st.integers(1, 5),
+           block_rows=st.one_of(st.none(), st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_phase_matrix(self, nx, ny, phase_count, configs, mask,
+                                  rx_count, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        phase_set = uniform_phase_set(phase_count)
+        spec = _masked(ArraySpec(nx, ny, phase_set=phase_set), mask, rng)
+        indices = rng.integers(0, phase_count, (configs, spec.size))
+        indices = indices.astype(np.int16 if phase_count <= 2**15
+                                 else np.int32)
+        tx = Direction(*rng.uniform(-90, 90, 2))
+        rx_dirs = [Direction(*d) for d in rng.uniform(-90, 90, (rx_count, 2))]
+        budget = LinkBudget(sample_sigma_db=0.0)
+        block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
+                 else block_rows * spec.size)
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            got = _rsrp_matrix(spec, indices, phase_set, tx, rx_dirs, budget)
+        expected = phase_rsrp_matrix(spec, phase_set[indices], tx, rx_dirs,
+                                     budget)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_sweeps_match_phase_matrix(self, default_spec, default_codebook,
+                                       default_geometry, quiet_budget,
+                                       quiet_beampattern, quiet_absorption):
+        phases = default_spec.phase_set[default_codebook.indices]
+        tx = default_geometry.tx_dir
+        rx_dirs = [default_geometry.rx_dir(r)
+                   for r in default_geometry.rotations()]
+        np.testing.assert_array_equal(
+            quiet_beampattern.power_dbm,
+            np.round(phase_rsrp_matrix(default_spec, phases, tx, rx_dirs,
+                                       quiet_budget), POWER_DECIMALS))
+        rx = [default_geometry.rx_dir(0.0)]
+        for col, masked in enumerate(absorption_masks(default_spec)):
+            np.testing.assert_array_equal(
+                quiet_absorption.power_dbm[:, col],
+                np.round(phase_rsrp_matrix(masked, phases, tx, rx,
+                                           quiet_budget)[:, 0],
+                         POWER_DECIMALS))
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_block_size_leaves_bytes_unchanged(self, block_rows, tmp_path,
+                                               default_spec,
+                                               default_geometry):
+        """Codebook, beampattern and absorption files of the default
+        campaign with 1- and 7-beam blocks against the default blocks."""
+        budget = LinkBudget(sample_sigma_db=0.0)
+
+        def files(out):
+            out.mkdir()
+            cb = build_codebook(default_spec, default_geometry.tx_dir)
+            write_codebook(cb, out / "codebook.csv")
+            write_beampattern(sweep_beampattern(default_spec, cb,
+                                                default_geometry, budget),
+                              out / "beampattern.csv")
+            write_absorption(sweep_absorption(default_spec, cb,
+                                              default_geometry, budget),
+                             out / "absorption.csv")
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        reference = files(tmp_path / "default")
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS",
+                               block_rows * default_spec.size):
+            assert files(tmp_path / "small") == reference
 
 
 class TestSampleCountStudy:

@@ -1,21 +1,30 @@
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risbeam import codebook as codebook_module
 from risbeam.array_model import (
+    TWO_PI,
     ArraySpec,
     Direction,
+    element_phase_profile,
     ideal_config,
     quantize_config,
+    quantize_phases,
     received_signal,
     uniform_phase_set,
 )
 from risbeam.codebook import (
     MODE_TX_COMPENSATED,
     MODE_UNCOMPENSATED,
+    MODES,
     Codebook,
     CodebookGrid,
     absorption_masks,
@@ -24,9 +33,83 @@ from risbeam.codebook import (
     read_codebook,
     write_codebook,
 )
+from risbeam.datasets import _fmt_angle
 from risbeam.errors import DomainError, NotFoundError, ParseError
 
 QUANT_LOSS_FLOOR_DB = 20.0 * math.log10(math.cos(math.pi / 8))
+
+
+def whole_matrix_indices(spec, tx, grid, mode):
+    """Oracle: every beam's raw phases in one (beams, size) matrix and a
+    single quantize_phases call, as the builder did before it went
+    block-wise."""
+    dx = TWO_PI * spec.delta * np.arange(spec.nx)
+    dy = TWO_PI * spec.delta * np.arange(spec.ny)
+    px = np.sin(np.deg2rad(grid.azimuths()))[:, None] * dx[None, :]
+    py = np.sin(np.deg2rad(grid.elevations()))[:, None] * dy[None, :]
+    raw = (px[:, None, :, None] + py[None, :, None, :]).reshape(-1, spec.size)
+    if mode == MODE_TX_COMPENSATED:
+        raw -= element_phase_profile(spec, tx)[None, :]
+    return quantize_phases(raw, spec.phase_set)
+
+
+def percent_d_codebook_text(cb):
+    """Oracle: the codebook file with every index cell formatted by "%d"."""
+    spec, tx = cb.spec, cb.tx
+    lines = ["# nx=%d ny=%d delta=%.17g frequency_hz=%.17g tx_azimuth=%s"
+             " tx_elevation=%s mode=%s phase_set=%s" % (
+                 spec.nx, spec.ny, spec.delta, spec.frequency_hz,
+                 _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
+                 cb.mode, ",".join("%.17g" % p for p in spec.phase_set)),
+             "theta_n,phi_n," + ",".join("idx_%d" % k
+                                         for k in range(spec.size))]
+    for (az, el), row in zip(cb.beams, cb.indices):
+        lines.append(_fmt_angle(az) + "," + _fmt_angle(el) + ","
+                     + ",".join("%d" % i for i in row))
+    return "".join(line + "\n" for line in lines)
+
+
+def int_parse_outcome(text, spec):
+    """Oracle: the body parsed with int() per cell, as the reader did
+    before it converted each row with numpy.
+
+    ("accept", beams, indices), ("reject", line or None), or ("overflow",)
+    where the old reader's np.array(rows, int) raised OverflowError.
+    """
+    beams, rows = [], []
+    for ln, line in enumerate(text.splitlines()[2:], start=3):
+        parts = line.split(",")
+        if len(parts) != 2 + spec.size:
+            return ("reject", ln)
+        try:
+            beams.append((float(parts[0]), float(parts[1])))
+            rows.append([int(p) for p in parts[2:]])
+        except ValueError:
+            return ("reject", ln)
+    if any(not 0 <= i < spec.phase_set.size for row in rows for i in row):
+        if any(not -2**63 <= i < 2**63 for row in rows for i in row):
+            return ("overflow",)
+        return ("reject", None)
+    return ("accept", np.array(beams, float).reshape(-1, 2),
+            np.array(rows, int).reshape(-1, spec.size))
+
+
+def grids(max_points=9):
+    """Integer-degree axes with 1..max_points points."""
+    def axis(lo, step, count):
+        hi = min(90, lo + (count - 1) * step)
+        return (lo, lo + (hi - lo) // step * step, step)
+    ax = st.builds(axis, st.integers(-90, 90), st.integers(1, 20),
+                   st.integers(1, max_points))
+    return st.builds(lambda a, e: CodebookGrid(azimuth_deg=a, elevation_deg=e),
+                     ax, ax)
+
+
+def phase_sets(max_size=4096):
+    uniform = st.integers(1, max_size).map(uniform_phase_set)
+    drawn = st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                     min_size=1, max_size=64).map(lambda v: np.unique(np.abs(v)))
+    return st.one_of(uniform, drawn)
 
 
 class TestCodebookGrid:
@@ -133,6 +216,53 @@ class TestBuildCodebook:
             assert QUANT_LOSS_FLOOR_DB - 1e-9 <= gain_db <= 1e-9
 
 
+class TestBlockwiseBuild:
+    """The builder quantizes blocks of beams; any block size must give the
+    whole-matrix indices exactly, in the same dtype."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(nx=st.integers(1, 20), ny=st.integers(1, 20), grid=grids(),
+           mode=st.sampled_from(MODES), phase_set=phase_sets(),
+           tx=st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
+           block_rows=st.one_of(st.none(), st.integers(1, 9)))
+    def test_matches_whole_matrix(self, nx, ny, grid, mode, phase_set, tx,
+                                  block_rows):
+        spec = ArraySpec(nx, ny, phase_set=phase_set)
+        tx = Direction(*tx)
+        block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
+                 else block_rows * spec.size)
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            cb = build_codebook(spec, tx, grid, mode)
+        assert cb.indices.dtype == np.int16
+        np.testing.assert_array_equal(
+            cb.indices, whole_matrix_indices(spec, tx, grid, mode))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    def test_int32_phase_set_matches_whole_matrix(self, block_rows):
+        spec = ArraySpec(3, 4, phase_set=uniform_phase_set(2**16 + 5))
+        grid = CodebookGrid(azimuth_deg=(-90, 90, 9),
+                            elevation_deg=(-45, 45, 15))
+        tx = Direction(20, -33)
+        block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
+                 else block_rows * spec.size)
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            cb = build_codebook(spec, tx, grid)
+        assert cb.indices.dtype == np.int32
+        expected = whole_matrix_indices(spec, tx, grid, MODE_TX_COMPENSATED)
+        assert expected.max() >= 2**15  # indices past int16 are in use
+        np.testing.assert_array_equal(cb.indices, expected)
+
+    def test_row_blocks_cover_every_row_once(self):
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", 700):
+            blocks = codebook_module._row_blocks(1891, 100)
+        assert [(b.start, b.stop) for b in blocks[:2]] == [(0, 7), (7, 14)]
+        assert blocks[-1] == slice(1890, 1891)
+        assert sum(b.stop - b.start for b in blocks) == 1891
+        # a row larger than the block still gets a block of its own
+        assert codebook_module._row_blocks(3, 2**20) == [
+            slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
 class TestLookup:
     def test_index_arithmetic(self, default_codebook):
         # azimuth 0 is position 30 of 61, elevation -30 is position 5 of 31
@@ -230,6 +360,86 @@ class TestCodebookIo:
         write_codebook(default_codebook, p)
         p.write_bytes(p.read_bytes().replace(b"tx-compensated", b"tx-\xffcomp"))
         with pytest.raises(ParseError, match="UTF-8"):
+            read_codebook(p)
+
+    @pytest.mark.parametrize("phase_count", [8, 4096, 2**15, 2**15 + 1])
+    def test_matches_percent_d_writer(self, phase_count, tmp_path):
+        spec = ArraySpec(3, 4, phase_set=uniform_phase_set(phase_count))
+        grid = CodebookGrid(azimuth_deg=(-90, 90, 30),
+                            elevation_deg=(-45, 45, 45))
+        rng = np.random.default_rng(phase_count)
+        indices = rng.integers(0, phase_count, (len(grid), spec.size))
+        indices[0, :2] = 0, phase_count - 1
+        cb = Codebook(spec, Direction(0, -33), MODE_TX_COMPENSATED,
+                      build_codebook(spec, Direction(0, -33), grid).beams,
+                      indices)
+        assert cb.indices.dtype == (np.int16 if phase_count <= 2**15
+                                    else np.int32)
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        assert p.read_bytes() == percent_d_codebook_text(cb).encode()
+
+    def test_default_codebook_matches_percent_d_writer(self, default_codebook,
+                                                       tmp_path):
+        p = tmp_path / "cb.csv"
+        write_codebook(default_codebook, p)
+        assert p.read_bytes() == percent_d_codebook_text(
+            default_codebook).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.integers(0, 2), col=st.integers(0, 7),
+           field=st.one_of(
+               st.integers(-2**70, 2**70).map(str),
+               st.integers(2**63 - 2, 2**66).map(str),
+               st.integers(0, 7).map(lambda i: "%d" % i),
+               st.integers(0, 7).map(lambda i: " +0%d_0 " % i),
+               st.floats(allow_nan=True).map(repr),
+               st.sampled_from(["3.0", "1e0", "0x1", "nan", "-inf", "."]),
+               st.text("0123456789+-_ .,eEx\t\r\u0663\uff11", max_size=7),
+               st.text(max_size=4)))
+    def test_row_parser_matches_int_parser(self, row, col, field):
+        """Each body row is one numpy conversion; on valid and mutated rows
+        it accepts what int() accepted, with the same values, and names the
+        same line when it rejects.  Old OverflowError crashes (values past
+        int64) are now ParseErrors."""
+        spec = ArraySpec(2, 2)
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid(azimuth_deg=(0, 6, 3),
+                                         elevation_deg=(0, 0, 3)))
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "cb.csv"
+            write_codebook(cb, p)
+            lines = p.read_text(encoding="utf-8").splitlines()
+            parts = lines[2 + row].split(",")
+            parts[col % len(parts)] = field
+            lines[2 + row] = ",".join(parts)
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = int_parse_outcome(p.read_text(encoding="utf-8"), spec)
+            try:
+                back = read_codebook(p)
+            except ParseError as exc:
+                line = re.search(r": line (\d+): ", str(exc))
+                assert expected[0] in ("reject", "overflow")
+                if expected[0] == "reject":
+                    assert expected[1] == (line and int(line.group(1)))
+                return
+        assert expected[0] == "accept"
+        np.testing.assert_array_equal(back.beams, expected[1])
+        np.testing.assert_array_equal(back.indices, expected[2])
+
+    @pytest.mark.parametrize("value", ["65536", "65539", str(2**64 + 3)])
+    def test_wrapping_index_rejected(self, value, tmp_path):
+        # int16 would wrap 65536 to a valid 0; past int64 numpy overflows
+        spec = ArraySpec(2, 1)
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid(azimuth_deg=(0, 0, 3),
+                                         elevation_deg=(0, 0, 3)))
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        text = p.read_text().splitlines()
+        text[-1] = "0,0,%s,0" % value
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(ParseError):
             read_codebook(p)
 
     def test_out_of_range_index_rejected(self, tmp_path):

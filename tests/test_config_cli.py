@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,26 @@ class TestCodebookCommand:
         assert main(["codebook", "--config", str(ini),
                      "--out", str(tmp_path / "cb.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_large_phase_set_outputs_pinned(tmp_path, capsys):
+    """sha256 of the 10x10, 4096-phase quiet codebook and beampattern, frozen
+    before the block-wise builder, writer and phasor lookup went in."""
+    ini = tmp_path / "k4096.ini"
+    ini.write_text("[array]\nphase_count = 4096\n"
+                   "[budget]\nsample_sigma_db = 0\n")
+    digests = {}
+    for command, name in (("codebook", "codebook.csv"),
+                          ("simulate", "beampattern.csv")):
+        out = tmp_path / name
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {
+        "codebook.csv": "c8da36517c6201650d35f14d73e968f9"
+                        "b81f2fc63bfc75c1ef3ec28322d4fd1d",
+        "beampattern.csv": "c30c29fdb00087b6dbf7bd0c10f9b174"
+                           "bfccf5573b150dd1c9387af3146024bb",
+    }
 
 
 class TestSimulateCommand:

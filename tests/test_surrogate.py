@@ -217,6 +217,25 @@ class TestTrain:
         for prev, cur in zip(losses, losses[1:]):
             assert cur < prev * 1.05
 
+    def test_logged_loss_is_the_gradient_loss(self, rng):
+        """The per-epoch loss is computed forward-only; it must equal the
+        loss _gradients reports for the parameters after that epoch."""
+        records = synthetic_records(600, rng)
+        losses = []
+        train(records, train_spec=TrainSpec(epochs=3, seed=4),
+              epoch_loss_out=losses)
+        train_idx, _ = split_records(records, TrainSpec(seed=4))
+        for epoch, logged in enumerate(losses, start=1):
+            model, *_ = train(records,
+                              train_spec=TrainSpec(epochs=epoch, seed=4))
+            params = np.concatenate([a.ravel() for w, b in
+                                     zip(model.weights, model.biases)
+                                     for a in (w, b)])
+            x = model.normalize_inputs(records[train_idx, :-1])
+            y = ((records[train_idx, -1] - model.target_mean)
+                 / model.target_std)[:, None]
+            assert logged == _gradients(params, model.spec, x, y)[0]
+
     def test_bit_reproducible(self, rng, tmp_path):
         records = synthetic_records(600, rng)
         spec = TrainSpec(epochs=5, seed=9)
