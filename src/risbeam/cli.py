@@ -7,6 +7,7 @@ truncated lobe, diverged fit, bad model file), 2 usage or config mistakes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -272,34 +273,51 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _prediction_lines(at, table, predictions, line_format: str):
+    """`line_format % ("AZ,EL,", "ROT", power)` per prediction, in input order.
+
+    The --at points come first, then the table beam by rotation; each beam
+    prefix and rotation label is formatted once.
+    """
+    powers = iter(predictions.tolist())
+    # zip draws from the labels first, so it stops without taking a power
+    # that belongs to the next group
+    for (a, e, r), p in zip(at.tolist(), powers):
+        yield line_format % ("%g,%g," % (a, e), "%g" % r, p)
+    if table is None:
+        return
+    labels = ["%g" % r for r in table.rotations.tolist()]
+    for a, e in table.beams.tolist():
+        prefix = "%g,%g," % (a, e)
+        for label, p in zip(labels, powers):
+            yield line_format % (prefix, label, p)
+
+
 def _cmd_predict(args) -> int:
     model = surrogate.load_model(args.model)
-    rows = list(args.at or [])
+    inputs = at = np.array(args.at or [], dtype=float).reshape(-1, 3)
+    table = None
     if args.table:
         table = read_table(args.table)
         if not isinstance(table, BeampatternTable):
             raise DomainError("predictions need beampattern-style inputs")
-        rows.extend(
-            (r[0], r[1], r[2]) for r in surrogate.flatten_table(table)[:, :3]
-        )
-    if not rows:
+        inputs = np.concatenate([at, surrogate.flatten_table(table)[:, :3]])
+    if not inputs.shape[0]:
         print("predict: give --at AZ,EL,ROT (repeatable) and/or --table",
               file=sys.stderr)
         return 2
-    inputs = np.asarray(rows, dtype=float)
     predictions = model.predict_batch(inputs)
     if args.out:
         out = Path(args.out)
-        _write_csv(
-            out,
-            ["theta_n", "phi_n", "theta_r", "rsrp_dbm_pred"],
-            [["%g" % a, "%g" % e, "%g" % r, "%.6f" % p]
-             for (a, e, r), p in zip(rows, predictions)],
-        )
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_lines(out, itertools.chain(
+            ["theta_n,phi_n,theta_r,rsrp_dbm_pred"],
+            _prediction_lines(at, table, predictions, "%s%s,%.6f")))
         print(f"wrote {out}")
     else:
-        for (a, e, r), p in zip(rows, predictions):
-            print(f"{a:g},{e:g},{r:g} -> {p:.6f} dBm")
+        for line in _prediction_lines(at, table, predictions,
+                                      "%s%s -> %.6f dBm"):
+            print(line)
     return 0
 
 

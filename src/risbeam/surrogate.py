@@ -103,6 +103,8 @@ class MlpModel:
                     f"layer shape mismatch: got {w.shape}/{b.shape}, "
                     f"want {(fan_in, fan_out)}"
                 )
+        if not all(np.all(np.isfinite(a)) for a in (*self.weights, *self.biases)):
+            raise DomainError("weights and biases must be finite")
         self.input_lo = np.asarray(self.input_lo, dtype=float)
         self.input_hi = np.asarray(self.input_hi, dtype=float)
         if self.input_lo.shape != (self.spec.input_dim,) or self.input_hi.shape != (
@@ -204,35 +206,65 @@ def _init_params(
     return flat
 
 
-def _forward_states(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
-) -> list[np.ndarray]:
-    # activations[0] is the input; activations[i+1] the output of layer i.
-    activations = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = activations[-1] @ w + b
-        activations.append(np.tanh(z) if i < last else z)
-    return activations
+class _Backprop:
+    """Preallocated buffers for one backprop over batches of `rows` records.
+
+    Reads the parameters and writes the gradient through per-layer views of
+    the flat `params` and `grad` vectors, so a step allocates nothing.
+    """
+
+    def __init__(
+        self, params: np.ndarray, grad: np.ndarray, spec: MlpSpec, rows: int
+    ) -> None:
+        self.weights, self.biases = _layer_views(params, spec)
+        self.grad_w, self.grad_b = _layer_views(grad, spec)
+        widths = [fan_out for _, fan_out in spec.layer_shapes()]
+        # outputs[i] and deltas[i] belong to layer i; squares[i] holds
+        # 1 - outputs[i] ** 2 for the hidden layers.
+        self.outputs = [np.empty((rows, w)) for w in widths]
+        self.deltas = [np.empty((rows, w)) for w in widths]
+        self.squares = [np.empty((rows, w)) for w in widths[:-1]]
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Write d MSE / d params for the batch (x, y) into the gradient.
+
+        The network output stays in outputs[-1] afterwards.
+        """
+        weights, outputs, deltas = self.weights, self.outputs, self.deltas
+        last = len(weights) - 1
+        h = x
+        for i, (w, b, z) in enumerate(zip(weights, self.biases, outputs)):
+            np.matmul(h, w, out=z)
+            z += b
+            if i < last:
+                np.tanh(z, out=z)
+            h = z
+        # d loss / d out; the mean runs over every output entry.
+        delta = deltas[last]
+        np.subtract(h, y, out=delta)
+        delta *= 2.0
+        delta /= x.shape[0] * y.shape[1]
+        for i in range(last, -1, -1):
+            np.matmul(x.T if i == 0 else outputs[i - 1].T, delta,
+                      out=self.grad_w[i])
+            np.add.reduce(delta, axis=0, out=self.grad_b[i])
+            if i > 0:
+                square = self.squares[i - 1]
+                np.square(outputs[i - 1], out=square)
+                np.subtract(1.0, square, out=square)
+                delta = deltas[i - 1]
+                np.matmul(deltas[i], weights[i].T, out=delta)
+                delta *= square
 
 
 def _gradients(
     params: np.ndarray, spec: MlpSpec, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """MSE loss and its flat gradient for one batch (normalized spaces)."""
-    weights, biases = _layer_views(params, spec)
-    activations = _forward_states(weights, biases, x)
-    diff = activations[-1] - y
-    loss = float(np.mean(diff**2))
-    # d loss / d out; the mean runs over every output entry.
-    delta = 2.0 * diff / (x.shape[0] * y.shape[1])
     grad = np.empty_like(params)
-    grad_w, grad_b = _layer_views(grad, spec)
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=grad_w[i])
-        np.sum(delta, axis=0, out=grad_b[i])
-        if i > 0:
-            delta = (delta @ weights[i].T) * (1.0 - activations[i] ** 2)
+    backprop = _Backprop(params, grad, spec, x.shape[0])
+    backprop(x, y)
+    loss = float(np.mean((backprop.outputs[-1] - y) ** 2))
     return loss, grad
 
 
@@ -294,28 +326,51 @@ def train(
     x = model.normalize_inputs(train_x_raw)
     y = ((train_y_raw - mean) / std)[:, None]
 
+    # Every buffer a step touches is allocated here, once per call.
+    grad = np.empty_like(params)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
+    t1 = np.empty_like(params)
+    t2 = np.empty_like(params)
+    x_epoch = np.empty_like(x)
+    y_epoch = np.empty_like(y)
+    rows, size = x.shape[0], train_spec.batch_size
+    full = _Backprop(params, grad, mlp_spec, size)
+    short = _Backprop(params, grad, mlp_spec, rows % size) if rows % size else full
+    batches = [(x_epoch[start : start + size], y_epoch[start : start + size],
+                full if start + size <= rows else short)
+               for start in range(0, rows, size)]
+
     b1, b2, lr = _ADAM_BETA1, _ADAM_BETA2, train_spec.learning_rate
     step = 0
     for _ in range(train_spec.epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], train_spec.batch_size):
-            batch = order[start : start + train_spec.batch_size]
-            _, g = _gradients(params, mlp_spec, x[batch], y[batch])
+        order = rng.permutation(rows)
+        # order is a permutation, so "clip" never clips; unlike the default
+        # "raise" it gathers straight into the output without a buffer.
+        np.take(x, order, axis=0, out=x_epoch, mode="clip")
+        np.take(y, order, axis=0, out=y_epoch, mode="clip")
+        for x_batch, y_batch, backprop in batches:
+            backprop(x_batch, y_batch)
             step += 1
-            correct1 = 1.0 - b1**step
-            correct2 = 1.0 - b2**step
+            # Adam, in place; the model's weights and biases are views of
+            # params.  params -= lr * (m / c1) / (sqrt(v / c2) + eps)
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(grad, 1.0 - b1, out=t1)
+            m += t1
             v *= b2
-            v += (1.0 - b2) * g**2
-            # In place: the model's weights and biases are views of params.
-            params -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+            np.multiply(grad, grad, out=t1)
+            t1 *= 1.0 - b2
+            v += t1
+            np.divide(m, 1.0 - b1**step, out=t1)
+            t1 *= lr
+            np.divide(v, 1.0 - b2**step, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += _ADAM_EPS
+            t1 /= t2
+            params -= t1
         if epoch_loss_out is not None:
             # the loss _gradients would report, without its backward pass
-            out = _forward_states(weights, biases, x)[-1]
-            epoch_loss_out.append(float(np.mean((out - y) ** 2)))
+            epoch_loss_out.append(float(np.mean((model.forward(x) - y) ** 2)))
 
     train_nmse = nmse(model.predict_batch(train_x_raw), train_y_raw)
     val_nmse = nmse(model.predict_batch(val_x_raw), val_y_raw)

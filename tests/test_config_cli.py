@@ -10,9 +10,14 @@ from risbeam.config import (
     default_output_dir,
     load_campaign_config,
 )
-from risbeam.datasets import read_beampattern, read_table, write_beampattern
+from risbeam.datasets import (
+    BeampatternTable,
+    read_beampattern,
+    read_table,
+    write_beampattern,
+)
 from risbeam.errors import ConfigError
-from risbeam.surrogate import load_model
+from risbeam.surrogate import flatten_table, load_model
 
 SMALL_CAMPAIGN = """
 [array]
@@ -480,6 +485,136 @@ class TestTrainPredictCommands:
         assert main(["train", str(slice_absorption_csv),
                      "--out", str(tmp_path / "m.txt")]) == 1
         assert "beampattern" in capsys.readouterr().err
+
+
+def listcomp_predict_outputs(model_path, at_texts, table_path):
+    """(CSV text, stdout text) of `predict`, formatted the way it was before
+    the beam-by-rotation writer: one tuple per row, then a list of "%g"/"%.6f"
+    field lists joined by str(), and one f-string per row for stdout."""
+    model = load_model(model_path)
+    rows = [tuple(float(v) for v in text.split(",")) for text in at_texts]
+    if table_path:
+        rows.extend((r[0], r[1], r[2])
+                    for r in flatten_table(read_table(table_path))[:, :3])
+    predictions = model.predict_batch(np.asarray(rows, dtype=float))
+    lines = [["theta_n", "phi_n", "theta_r", "rsrp_dbm_pred"]] + [
+        ["%g" % a, "%g" % e, "%g" % r, "%.6f" % p]
+        for (a, e, r), p in zip(rows, predictions)]
+    csv = "".join(",".join(str(v) for v in line) + "\n" for line in lines)
+    stdout = "".join(f"{a:g},{e:g},{r:g} -> {p:.6f} dBm\n"
+                     for (a, e, r), p in zip(rows, predictions))
+    return csv, stdout
+
+
+@pytest.fixture(scope="module")
+def default_model(tmp_path_factory, default_beampattern_csv):
+    """`train --epochs 4 --seed 0` on the quiet default table, the model the
+    benchmark's surrogate workload trains."""
+    path = tmp_path_factory.mktemp("surrogate") / "model.txt"
+    assert main(["train", str(default_beampattern_csv), "--out", str(path),
+                 "--epochs", "4", "--seed", "0"]) == 0
+    return path
+
+
+def test_surrogate_model_pinned(default_beampattern_csv, default_model):
+    """sha256 of the quiet default table and of the 4-epoch seed-0 model,
+    frozen before training moved to preallocated buffers."""
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (default_beampattern_csv, default_model)]
+    assert digests == [
+        "331a4da5a8b4566ca289156bb22241d921284c29314e95dc49ba62900d735ee8",
+        "f72635c8292677eaa8d5a9beb54e3f3e5a0afaa2cd791f26d3d0e53fa3db88cb",
+    ]
+
+
+@pytest.fixture(scope="module")
+def odd_angles_csv(tmp_path_factory):
+    """Hand-written beampattern with non-grid, signed-zero and tiny angles."""
+    path = tmp_path_factory.mktemp("odd") / "odd.csv"
+    path.write_text(
+        "# theta_t=0\n"
+        "theta_n,phi_n,rot_-7.25,rot_-0,rot_1e-07,rot_0.1,rot_33.333333\n"
+        "1.5,-0,-70,-70.5,-71,-71.5,-72\n"
+        "-0,1e-07,-73,-73.25,-73.5,-73.75,-74\n"
+        "33.25,-12.125,-75,-75.125,-75.25,-75.375,-75.5\n")
+    return path
+
+
+class TestPredictWriter:
+    """predict --out bytes and stdout text against the per-row formatter."""
+
+    CASES = {
+        "at": (["0,-3,0"], False),
+        "table": ([], True),
+        "both": (["0,-3,0"], True),
+        "repeated_at": (["0,-3,0", "15,0,-15", "0,-3,0"], False),
+        "odd_at": (["1.5,-0.0,1e-7", "-0,0.25,-1e-7", "1e300,-2.5e-5,7"],
+                   True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("table_name", ["small", "odd"])
+    def test_matches_listcomp_formatter(self, case, table_name,
+                                        small_beampattern_csv,
+                                        odd_angles_csv, tmp_path, capsys):
+        table = {"small": small_beampattern_csv, "odd": odd_angles_csv}[
+            table_name]
+        model = tmp_path / "model.txt"
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(model), "--epochs", "2", "--batch-size", "5"]) == 0
+        at, with_table = self.CASES[case]
+        argv = ["predict", str(model)]
+        argv += ["--at=" + text for text in at]
+        if with_table:
+            argv += ["--table", str(table)]
+        want_csv, want_stdout = listcomp_predict_outputs(
+            model, at, table if with_table else None)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want_stdout
+        out = tmp_path / "pred.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want_csv.encode()
+
+    def test_default_table_matches_listcomp_formatter(
+            self, default_model, default_beampattern_csv, tmp_path, capsys):
+        out = tmp_path / "pred.csv"
+        assert main(["predict", str(default_model), "--at", "0,-3,0",
+                     "--table", str(default_beampattern_csv),
+                     "--out", str(out)]) == 0
+        want_csv, _ = listcomp_predict_outputs(
+            default_model, ["0,-3,0"], default_beampattern_csv)
+        assert out.read_bytes() == want_csv.encode()
+
+    def test_absorption_table_rejected_before_writing(
+            self, small_beampattern_csv, slice_absorption_csv, tmp_path,
+            capsys):
+        model = tmp_path / "model.txt"
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(model), "--epochs", "1", "--batch-size", "5"]) == 0
+        out = tmp_path / "pred.csv"
+        assert main(["predict", str(model), "--at", "0,-3,0", "--table",
+                     str(slice_absorption_csv), "--out", str(out)]) == 1
+        assert "beampattern" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [model]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", ["w", "b"])
+    def test_non_finite_model_exits_1(self, value, row, small_beampattern_csv,
+                                      tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(model), "--epochs", "1", "--batch-size", "5"]) == 0
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith(row + " "))
+        lines[i] = " ".join([row, value] + lines[i].split()[2:])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", str(model), "--at", "0,-3,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err and "Traceback" not in captured.err
 
 
 class TestArgparsePassthrough:

@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risbeam.analysis import nmse
 from risbeam.datasets import BeampatternTable
 from risbeam.errors import DomainError, ModelFormatError
 from risbeam.surrogate import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
     MlpModel,
     MlpSpec,
     TrainSpec,
@@ -184,6 +190,93 @@ class TestGradientCheck:
     def test_narrow_network(self):
         assert gradient_check(MlpSpec(hidden_layers=1, hidden_width=2),
                               seed=5) < 1e-4
+
+
+def reference_train_params(records, mlp_spec, train_spec):
+    """The allocating training loop, oracle for train(): a fresh
+    reference_gradients per gathered batch and Adam as one expression over
+    the flat vectors.  Returns (flat params, train NMSE, val NMSE)."""
+    train_idx, val_idx = split_records(records, train_spec)
+    x_raw, y_raw = records[train_idx, :-1], records[train_idx, -1]
+    std = float(y_raw.std()) or 1.0
+    rng = np.random.default_rng(train_spec.seed)
+    rng.permutation(records.shape[0])
+    params = _init_params(mlp_spec, rng, zero_head=True)
+    weights, biases = _layer_views(params, mlp_spec)
+    model = MlpModel(mlp_spec, weights, biases, x_raw.min(axis=0),
+                     x_raw.max(axis=0), float(y_raw.mean()), std)
+    x = model.normalize_inputs(x_raw)
+    y = ((y_raw - model.target_mean) / std)[:, None]
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    b1, b2, lr = _ADAM_BETA1, _ADAM_BETA2, train_spec.learning_rate
+    step = 0
+    for _ in range(train_spec.epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], train_spec.batch_size):
+            batch = order[start : start + train_spec.batch_size]
+            _, grad_w, grad_b = reference_gradients(weights, biases,
+                                                    x[batch], y[batch])
+            g = np.concatenate([part.reshape(-1) for gw, gb in
+                                zip(grad_w, grad_b) for part in (gw, gb)])
+            step += 1
+            correct1 = 1.0 - b1**step
+            correct2 = 1.0 - b2**step
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g**2
+            params -= lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+    return (params, nmse(model.predict_batch(x_raw), y_raw),
+            nmse(model.predict_batch(records[val_idx, :-1]),
+                 records[val_idx, -1]))
+
+
+def flat_params(model):
+    return np.concatenate([a.ravel() for w, b in
+                           zip(model.weights, model.biases) for a in (w, b)])
+
+
+def records_for_train_rows(train_rows, split_fraction, rng):
+    """Synthetic records whose split leaves exactly `train_rows` to train on."""
+    n = next(k for k in itertools.count(train_rows)
+             if int(k * split_fraction) >= train_rows)
+    assert int(n * split_fraction) == train_rows
+    return synthetic_records(n, rng)
+
+
+class TestTrainMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.integers(1, 4), width=st.integers(1, 16),
+           batch=st.integers(1, 130), full_batches=st.integers(2, 4),
+           short=st.booleans(), epochs=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_final_params_equal_reference(self, layers, width, batch,
+                                          full_batches, short, epochs, seed,
+                                          data):
+        rest = data.draw(st.integers(1, batch - 1)) if short and batch > 1 else 0
+        # at least 8 training rows, so validation gets the 2 that NMSE needs
+        full_batches += 8 // batch
+        rng = np.random.default_rng(seed)
+        spec = TrainSpec(epochs=epochs, batch_size=batch, seed=seed)
+        records = records_for_train_rows(full_batches * batch + rest,
+                                         spec.split_fraction, rng)
+        mlp = MlpSpec(hidden_layers=layers, hidden_width=width)
+        model, train_nmse, val_nmse = train(records, mlp, spec)
+        ref_params, ref_train, ref_val = reference_train_params(records, mlp,
+                                                                spec)
+        assert np.array_equal(flat_params(model), ref_params)
+        assert (train_nmse, val_nmse) == (ref_train, ref_val)
+
+    def test_default_spec_equals_reference(self, rng):
+        # 3x16 at batch 100 with a short last batch of 40 rows
+        records = records_for_train_rows(1040, 0.8, rng)
+        spec = TrainSpec(epochs=2, seed=7)
+        model, *nmses = train(records, train_spec=spec)
+        ref_params, *ref_nmses = reference_train_params(records, MlpSpec(),
+                                                        spec)
+        assert np.array_equal(flat_params(model), ref_params)
+        assert nmses == ref_nmses
 
 
 class TestTrain:
@@ -373,6 +466,21 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", ["w", "b"])
+    def test_non_finite_parameter_rejected(self, model, tmp_path, value,
+                                           row):
+        p = tmp_path / "model.txt"
+        save_model(model, p)
+        lines = p.read_text().splitlines()
+        # the last row of that kind, in the output head
+        i = max(i for i, line in enumerate(lines)
+                if line.startswith(row + " "))
+        lines[i] = " ".join([row, value] + lines[i].split()[2:])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(p)
+
     def test_bad_spec_line_rejected(self, model, tmp_path):
         p = tmp_path / "model.txt"
         save_model(model, p)
@@ -394,3 +502,9 @@ def test_model_shape_validation():
                  biases=[np.zeros(2), np.zeros(1)],
                  input_lo=np.zeros(1), input_hi=np.ones(1),
                  target_mean=0.0, target_std=0.0)
+    with pytest.raises(DomainError, match="finite"):
+        MlpModel(spec=spec,
+                 weights=[np.zeros((1, 2)), np.zeros((2, 1))],
+                 biases=[np.array([0.0, np.inf]), np.zeros(1)],
+                 input_lo=np.zeros(1), input_hi=np.ones(1),
+                 target_mean=0.0, target_std=1.0)
