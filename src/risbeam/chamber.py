@@ -23,6 +23,7 @@ from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
 
 POWER_DECIMALS = 6  # dataset cells are rounded to the serialization precision
+_PRODUCT_ROWS = 64  # config rows per unit of the blocked RSRP matrix product
 
 
 @dataclass(frozen=True)
@@ -166,29 +167,41 @@ def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     return np.round(power, POWER_DECIMALS)
 
 
+def _magnitudes(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
+                tx: Direction, rx_dirs: list) -> np.ndarray:
+    """|y| for every (config row, rx direction) pair.
+
+    `indices` holds one row of phase-set indices per config; each is looked
+    up in the phasor table exp(1j * phase_set), which equals exp(1j * phase)
+    cell by cell.  The product runs in blocks of whole 64-config multiples
+    (about _BLOCK_ELEMENTS cells), a remainder under 64 configs merged into
+    the last block.  So no block is a one-row matrix-vector product, whose
+    sums round differently, and every block starts on the kernels' row
+    unroll: each |y| keeps the bits of one product over all rows.
+    """
+    g = np.exp(1j * element_phase_profile(spec, tx))
+    h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
+                         for rx in rx_dirs])            # (size, n_rx), conjugated
+    phasors = np.exp(1j * phase_set)
+    mag = np.empty((indices.shape[0], len(rx_dirs)))    # (n_cfg, n_rx)
+    for rows in _row_blocks(*indices.shape, _PRODUCT_ROWS):
+        excited = spec.mask * phasors[indices[rows]] * g
+        np.abs(excited @ h, out=mag[rows])
+    return mag
+
+
 def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
                  tx: Direction, rx_dirs: list,
                  budget: LinkBudget) -> np.ndarray:
     """Noise-free RSRP for every (config row, rx direction) pair.
 
-    Same math as the scalar rsrp(), vectorized over both axes.  `indices`
-    holds one row of phase-set indices per config; each is looked up in the
-    phasor table exp(1j * phase_set), which equals exp(1j * phase) cell by
-    cell.
+    Same math as the scalar rsrp(), vectorized over both axes.
     """
     m = spec.active_count
     if m == 0:
         return np.full((indices.shape[0], len(rx_dirs)),
                        float(budget.noise_floor_dbm))
-    g = np.exp(1j * element_phase_profile(spec, tx))
-    h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
-                         for rx in rx_dirs])            # (size, n_rx), conjugated
-    phasors = np.exp(1j * phase_set)
-    excited = np.empty(indices.shape, dtype=complex)    # (n_cfg, size)
-    for rows in _row_blocks(*indices.shape):
-        np.multiply(spec.mask * phasors[indices[rows]], g, out=excited[rows])
-    # one product over every row keeps the BLAS summation order fixed
-    mag = np.abs(excited @ h)                           # (n_cfg, n_rx)
+    mag = _magnitudes(spec, indices, phase_set, tx, rx_dirs)
     with np.errstate(divide="ignore"):
         signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
     return _combine_with_floor(signal, budget.noise_floor_dbm)

@@ -121,6 +121,9 @@ def _parse_beam(text: str) -> Direction:
 
 
 def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
+    if args.fit:
+        raise DomainError("--fit needs an absorption table "
+                          "(half-power width vs subarray side)")
     sg = analysis.SgFilterSpec(window=args.sg_window, order=args.sg_order)
     beam = args.beam
     if beam is None:  # strongest row
@@ -169,10 +172,6 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
         )
         print(f"reconstruct: {pattern.power_dbm.shape[0]}x"
               f"{pattern.power_dbm.shape[1]} grid at tilt {args.tilt:g} -> {out}")
-
-    if args.fit:
-        raise DomainError("--fit needs an absorption table "
-                          "(half-power width vs subarray side)")
 
     if args.svg:
         series = [(angles, cut, label)]

@@ -27,11 +27,16 @@ MODES = (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED)
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _row_blocks(rows: int, size: int) -> list:
-    """Slices over `rows` rows of `size` cells, each a whole number of rows
-    (at least one) and at most _BLOCK_ELEMENTS cells when a row fits."""
-    step = max(1, _BLOCK_ELEMENTS // size)
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+def _row_blocks(rows: int, size: int, unit: int = 1) -> list:
+    """Slices over `rows` rows of `size` cells.  Each block is one step
+    long, a whole number of `unit` rows (at least one) holding at most
+    _BLOCK_ELEMENTS cells when a unit fits; the last block runs to `rows`
+    and takes in a remainder shorter than `unit`."""
+    step = max(1, _BLOCK_ELEMENTS // size // unit) * unit
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] < unit:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
 
 
 def _index_type(phase_set: np.ndarray) -> type:
@@ -265,8 +270,9 @@ def read_codebook(path) -> Codebook:
         raise ParseError(f"{path}: header does not match the codebook schema")
 
     body = lines[2:]
+    phase_count = spec.phase_set.size
     beams = np.empty((len(body), 2))
-    rows = np.empty((len(body), spec.size), dtype=np.int64)
+    rows = np.empty((len(body), spec.size), dtype=_index_type(spec.phase_set))
     for r, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != 2 + spec.size:
@@ -277,9 +283,14 @@ def read_codebook(path) -> Codebook:
             beams[r] = float(parts[0]), float(parts[1])
             # one conversion per row, int()'s syntax for every field;
             # values past int64 raise OverflowError
-            rows[r] = np.array(parts[2:], dtype=np.int64)
+            row = np.array(parts[2:], dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: line {r + 3}: {exc}") from None
+        # checked before the store, which would wrap e.g. 65536 to 0 in int16
+        if row.min() < 0 or row.max() >= phase_count:
+            raise ParseError(f"{path}: line {r + 3}: index outside the "
+                             f"phase set [0, {phase_count})")
+        rows[r] = row
     try:
         return Codebook(spec, tx, mode, beams, rows)
     except DomainError as exc:

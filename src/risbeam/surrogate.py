@@ -295,6 +295,10 @@ def train(
         )
 
     train_idx, val_idx = split_records(records, train_spec)
+    if train_idx.size < 2 or val_idx.size < 2:
+        raise DomainError(
+            f"split gives {train_idx.size} training and {val_idx.size} "
+            f"validation rows; the NMSE of each needs at least 2")
     train_x_raw = records[train_idx, :-1]
     train_y_raw = records[train_idx, -1]
     val_x_raw = records[val_idx, :-1]

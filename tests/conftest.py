@@ -1,5 +1,12 @@
 """Shared fixtures: campaign objects are expensive enough to build once."""
 
+import os
+
+# The exact-equality oracles compare against one whole-matrix BLAS product,
+# whose bits depend on how many threads split it; one thread, as in
+# perfbench, unless the environment says otherwise.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

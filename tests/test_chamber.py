@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risbeam import codebook as codebook_module
@@ -21,6 +21,7 @@ from risbeam.chamber import (
     LinkBudget,
     SEED_LIMIT,
     _combine_with_floor,
+    _magnitudes,
     _noise_means,
     _rsrp_matrix,
     field_regions,
@@ -58,16 +59,21 @@ def per_cell_noise_means(shape, budget, seed):
     return out
 
 
-def phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget):
-    """Oracle: the sweep matrix from the (configs, size) phase matrix
-    through exp(1j * phases), all rows at once, as before the phasor
-    lookup."""
-    m = spec.active_count
+def one_product_magnitudes(spec, phases, tx, rx_dirs):
+    """Oracle: |y| from the (configs, size) phase matrix through
+    exp(1j * phases), in one product over all rows."""
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
                          for rx in rx_dirs])
     excited = spec.mask * np.exp(1j * phases) * g
-    mag = np.abs(excited @ h)
+    return np.abs(excited @ h)
+
+
+def phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget):
+    """Oracle: the sweep matrix from one_product_magnitudes, as before the
+    phasor lookup and the blocked product."""
+    m = spec.active_count
+    mag = one_product_magnitudes(spec, phases, tx, rx_dirs)
     if m == 0:
         return np.full(mag.shape, float(budget.noise_floor_dbm))
     with np.errstate(divide="ignore"):
@@ -341,19 +347,27 @@ def _masked(spec, kind, rng):
 
 
 class TestPhasorLookup:
-    """_rsrp_matrix looks each index up in exp(1j * phase_set) and excites
-    the configs block by block; the result must equal the whole-matrix
-    exp(1j * phases) path exactly."""
+    """_rsrp_matrix looks each index up in exp(1j * phase_set) and runs the
+    product in blocks of whole 64-config multiples; the result must equal
+    the one-product exp(1j * phases) path exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(nx=st.integers(1, 20), ny=st.integers(1, 20),
            phase_count=st.one_of(st.integers(1, 4096),
                                  st.just(2**15 + 1)),
-           configs=st.integers(1, 40),
+           configs=st.integers(1, 400),
            mask=st.sampled_from(["full", "random", "absorption", "none"]),
            rx_count=st.integers(1, 5),
-           block_rows=st.one_of(st.none(), st.integers(1, 9)),
+           block_rows=st.one_of(st.none(), st.integers(1, 9),
+                                st.integers(64, 320)),
            seed=st.integers(0, 2**32 - 1))
+    # blocks of 64, 64, 64, 64 and 65: alone, the 1-config remainder would
+    # run as a matrix-vector product, whose sums round differently
+    @example(nx=10, ny=10, phase_count=8, configs=321, mask="full",
+             rx_count=3, block_rows=1, seed=0)
+    # blocks of 128, 128 and 94
+    @example(nx=10, ny=10, phase_count=8, configs=350, mask="random",
+             rx_count=2, block_rows=130, seed=1)
     def test_matches_phase_matrix(self, nx, ny, phase_count, configs, mask,
                                   rx_count, block_rows, seed):
         rng = np.random.default_rng(seed)
@@ -368,10 +382,15 @@ class TestPhasorLookup:
         block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
                  else block_rows * spec.size)
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            mag = _magnitudes(spec, indices, phase_set, tx, rx_dirs)
             got = _rsrp_matrix(spec, indices, phase_set, tx, rx_dirs, budget)
-        expected = phase_rsrp_matrix(spec, phase_set[indices], tx, rx_dirs,
-                                     budget)
-        np.testing.assert_array_equal(got, expected)
+        phases = phase_set[indices]
+        # the dB conversion can round away last-bit changes of |y|, so |y| is
+        # compared too
+        np.testing.assert_array_equal(
+            mag, one_product_magnitudes(spec, phases, tx, rx_dirs))
+        np.testing.assert_array_equal(
+            got, phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget))
 
     def test_sweeps_match_phase_matrix(self, default_spec, default_codebook,
                                        default_geometry, quiet_budget,

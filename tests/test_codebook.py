@@ -70,11 +70,12 @@ def percent_d_codebook_text(cb):
 
 
 def int_parse_outcome(text, spec):
-    """Oracle: the body parsed with int() per cell, as the reader did
-    before it converted each row with numpy.
+    """Oracle: the body parsed with int() per cell and range-checked row by
+    row.
 
-    ("accept", beams, indices), ("reject", line or None), or ("overflow",)
-    where the old reader's np.array(rows, int) raised OverflowError.
+    ("accept", beams, indices) or ("reject", line), where line is the first
+    row with a wrong field count, a field int() rejects or an index outside
+    the phase set (values past int64 included).
     """
     beams, rows = [], []
     for ln, line in enumerate(text.splitlines()[2:], start=3):
@@ -86,10 +87,8 @@ def int_parse_outcome(text, spec):
             rows.append([int(p) for p in parts[2:]])
         except ValueError:
             return ("reject", ln)
-    if any(not 0 <= i < spec.phase_set.size for row in rows for i in row):
-        if any(not -2**63 <= i < 2**63 for row in rows for i in row):
-            return ("overflow",)
-        return ("reject", None)
+        if any(not 0 <= i < spec.phase_set.size for i in rows[-1]):
+            return ("reject", ln)
     return ("accept", np.array(beams, float).reshape(-1, 2),
             np.array(rows, int).reshape(-1, spec.size))
 
@@ -262,6 +261,36 @@ class TestBlockwiseBuild:
         assert codebook_module._row_blocks(3, 2**20) == [
             slice(0, 1), slice(1, 2), slice(2, 3)]
 
+    def test_product_blocks_at_64x64_and_10x10(self):
+        blocks = codebook_module._row_blocks(1891, 64 * 64, 64)
+        assert len(blocks) == 29
+        assert all(b.stop - b.start == 64 for b in blocks[:-1])
+        assert blocks[-1] == slice(1792, 1891)  # the 35-row rest merged
+        assert codebook_module._row_blocks(1891, 100, 64) == [slice(0, 1891)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(0, 3000), size=st.integers(1, 5000),
+           unit=st.sampled_from([1, 4, 64]), block=st.integers(1, 2**19))
+    def test_row_blocks_in_whole_units(self, rows, size, unit, block):
+        """Blocks tile the rows in order; all but the last have one length,
+        a whole number of units within the block budget (at least one
+        unit); the last holds less than one block plus one unit, and no
+        block is shorter than a unit unless it is the only one."""
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            blocks = codebook_module._row_blocks(rows, size, unit)
+        if not rows:
+            assert blocks == []
+            return
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert (blocks[0].start, blocks[-1].stop) == (0, rows)
+        step = blocks[0].stop - blocks[0].start
+        assert step % unit == 0 or len(blocks) == 1
+        assert step * size <= max(block, unit * size) or len(blocks) == 1
+        assert {b.stop - b.start for b in blocks[:-1]} <= {step}
+        last = blocks[-1].stop - blocks[-1].start
+        assert last < step + unit
+        assert last >= unit or len(blocks) == 1
+
 
 class TestLookup:
     def test_index_arithmetic(self, default_codebook):
@@ -400,8 +429,8 @@ class TestCodebookIo:
     def test_row_parser_matches_int_parser(self, row, col, field):
         """Each body row is one numpy conversion; on valid and mutated rows
         it accepts what int() accepted, with the same values, and names the
-        same line when it rejects.  Old OverflowError crashes (values past
-        int64) are now ParseErrors."""
+        same line when it rejects, also for an index outside the phase set
+        or past int64 (once an uncaught OverflowError)."""
         spec = ArraySpec(2, 2)
         cb = build_codebook(spec, Direction(0, 0),
                             CodebookGrid(azimuth_deg=(0, 6, 3),
@@ -419,9 +448,7 @@ class TestCodebookIo:
                 back = read_codebook(p)
             except ParseError as exc:
                 line = re.search(r": line (\d+): ", str(exc))
-                assert expected[0] in ("reject", "overflow")
-                if expected[0] == "reject":
-                    assert expected[1] == (line and int(line.group(1)))
+                assert expected == ("reject", line and int(line.group(1)))
                 return
         assert expected[0] == "accept"
         np.testing.assert_array_equal(back.beams, expected[1])
@@ -450,10 +477,27 @@ class TestCodebookIo:
         p = tmp_path / "cb.csv"
         write_codebook(cb, p)
         text = p.read_text().splitlines()
-        text[-1] = "0,0,9,0"
-        p.write_text("\n".join(text) + "\n")
-        with pytest.raises(ParseError):
-            read_codebook(p)
+        for value in ("9", "8", "-1"):
+            text[-1] = "0,0,%s,0" % value
+            p.write_text("\n".join(text) + "\n")
+            with pytest.raises(ParseError, match=r": line 3: index outside "
+                                                 r"the phase set \[0, 8\)"):
+                read_codebook(p)
+
+    def test_int32_phase_set_reads_back_equal(self, tmp_path):
+        spec = ArraySpec(3, 2, phase_set=uniform_phase_set(2**15 + 1))
+        beams = np.array([(az, el) for az in (-90, 0, 90) for el in (-3, 3)],
+                         dtype=float)
+        indices = np.random.default_rng(5).integers(0, 2**15 + 1, (6, 6))
+        indices[0, 0], indices[-1, -1] = 2**15, 0  # past int16, and the floor
+        cb = Codebook(spec, Direction(20, -33), MODE_TX_COMPENSATED, beams,
+                      indices)
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        back = read_codebook(p)
+        assert back.indices.dtype == np.int32
+        np.testing.assert_array_equal(back.indices, cb.indices)
+        np.testing.assert_array_equal(back.beams, cb.beams)
 
 
 def test_grating_pair_configs_are_identical(default_codebook):

@@ -216,6 +216,27 @@ def test_large_phase_set_outputs_pinned(tmp_path, capsys):
     }
 
 
+def test_large_array_outputs_pinned(tmp_path, capsys):
+    """sha256 of the 64x64 quiet codebook and beampattern, copied from the
+    benchmark refs; at 64x64 the sweep's product runs in 64-config blocks,
+    which must leave every byte of the one-product table."""
+    ini = tmp_path / "a64.ini"
+    ini.write_text("[array]\nnx = 64\nny = 64\n"
+                   "[budget]\nsample_sigma_db = 0\n")
+    digests = {}
+    for command, name in (("codebook", "codebook.csv"),
+                          ("simulate", "beampattern.csv")):
+        out = tmp_path / name
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {
+        "codebook.csv": "37fb89fc39a69de6b4893ad35245c10a"
+                        "2b25bba8c30895ae8724efb6876ab3b5",
+        "beampattern.csv": "b5d4036841fbec16584367930e0679f6"
+                           "e075a6484becf93c43c089db1666f607",
+    }
+
+
 class TestSimulateCommand:
     def test_beampattern_roundtrip(self, small_config, tmp_path, capsys):
         out = tmp_path / "bp.csv"
@@ -358,6 +379,15 @@ class TestAnalyzeCommand:
                      "--out-dir", str(tmp_path)]) == 1
         assert "absorption" in capsys.readouterr().err
 
+    def test_fit_on_beampattern_writes_nothing(self, default_beampattern_csv,
+                                               tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["analyze", str(default_beampattern_csv), "--smooth",
+                     "--hpbw", "--localize", "--reconstruct", "--tilt", "-3",
+                     "--svg", "--fit", "--out-dir", str(out)]) == 1
+        assert "absorption" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_absorption_hpbw_and_fit(self, slice_absorption_csv, tmp_path,
                                      capsys):
         assert main(["analyze", str(slice_absorption_csv), "--hpbw", "--fit",
@@ -478,6 +508,17 @@ class TestTrainPredictCommands:
                          str(tmp_path / "m.txt"), "--seed", seed]) == 2, seed
             err = capsys.readouterr().err
             assert "--seed" in err and "Traceback" not in err, seed
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_train_unscorable_split_exits_1(self, small_beampattern_csv,
+                                            tmp_path, capsys):
+        # 27 records at 0.99 leave 26 to train on and 1 to validate
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(tmp_path / "m.txt"), "--batch-size", "1",
+                     "--split-fraction", "0.99", "--epochs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "26 training and 1 validation" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m.txt").exists()
 
     def test_train_on_absorption_exits_1(self, slice_absorption_csv,

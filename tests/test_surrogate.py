@@ -280,6 +280,26 @@ class TestTrainMatchesReference:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("n, fraction, counts", [
+        (3, 0.8, "2 training and 1 validation"),
+        (10, 0.95, "9 training and 1 validation"),
+        (10, 0.1, "1 training and 9 validation"),
+    ])
+    def test_unscorable_split_rejected_before_training(self, n, fraction,
+                                                       counts, rng):
+        losses = []
+        spec = TrainSpec(epochs=2, batch_size=1, split_fraction=fraction)
+        with pytest.raises(DomainError, match=counts):
+            train(synthetic_records(n, rng), train_spec=spec,
+                  epoch_loss_out=losses)
+        assert losses == []  # no epoch ran
+
+    def test_smallest_scorable_split_trains(self, rng):
+        spec = TrainSpec(epochs=2, batch_size=1, split_fraction=0.5)
+        _, train_nmse, val_nmse = train(synthetic_records(4, rng),
+                                        train_spec=spec)
+        assert np.isfinite(train_nmse) and np.isfinite(val_nmse)
+
     def test_zero_epochs_predicts_train_mean(self, rng):
         records = synthetic_records(400, rng)
         spec = TrainSpec(epochs=0, seed=3)
