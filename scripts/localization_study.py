@@ -25,9 +25,10 @@ def main(argv=None) -> int:
                         help="number of noisy sweeps")
     parser.add_argument("--tolerance", default=3.0, type=float,
                         help="azimuth tolerance in degrees")
-    parser.add_argument("--sigma", default=0.5, type=float,
-                        help="per-sample noise sigma in dB")
-    parser.add_argument("--samples", default=30, type=int,
+    parser.add_argument("--sigma", default=LinkBudget.sample_sigma_db,
+                        type=float, help="per-sample noise sigma in dB")
+    parser.add_argument("--samples", default=LinkBudget.samples_per_point,
+                        type=int,
                         help="averaged samples per measurement point")
     args = parser.parse_args(argv)
 

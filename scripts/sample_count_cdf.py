@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from risbeam.chamber import sample_count_study
+from risbeam.chamber import LinkBudget, sample_count_study
 from risbeam.datasets import _write_lines
 from risbeam.svgplot import line_plot
 
@@ -21,7 +21,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/samples", type=Path)
     parser.add_argument("--trials", default=2000, type=int)
-    parser.add_argument("--sigma", default=0.5, type=float)
+    parser.add_argument("--sigma", default=LinkBudget.sample_sigma_db,
+                        type=float)
     parser.add_argument("--true-dbm", default=-60.0, type=float)
     parser.add_argument("--counts", default="10,20,30,80",
                         help="comma-separated sample counts")

@@ -24,9 +24,10 @@ from risbeam.svgplot import line_plot
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/surrogate", type=Path)
-    parser.add_argument("--epochs", default=750, type=int)
-    parser.add_argument("--learning-rate", default=1e-3, type=float)
-    parser.add_argument("--seed", default=0, type=int)
+    parser.add_argument("--epochs", default=TrainSpec.epochs, type=int)
+    parser.add_argument("--learning-rate", default=TrainSpec.learning_rate,
+                        type=float)
+    parser.add_argument("--seed", default=TrainSpec.seed, type=int)
     parser.add_argument("--sigma", default=0.0, type=float,
                         help="campaign noise sigma in dB (0 = noise-free)")
     args = parser.parse_args(argv)

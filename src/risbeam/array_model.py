@@ -17,12 +17,15 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 SPEED_OF_LIGHT = 299792458.0
+INDEX_LIMIT = np.iinfo(np.intp).max  # the largest array size numpy can index
 
 
 def uniform_phase_set(count: int = 8) -> np.ndarray:
     """Evenly spaced reflection phases {m * 2*pi/count}, ascending from 0."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError("phase set size must be a positive integer")
+    if count > INDEX_LIMIT:
+        raise DomainError(f"{count} phase states are more than numpy can index")
     return np.arange(count) * (TWO_PI / count)
 
 
@@ -65,6 +68,9 @@ class ArraySpec:
             raise DomainError(f"nx must be a positive integer, got {self.nx!r}")
         if not isinstance(self.ny, (int, np.integer)) or self.ny < 1:
             raise DomainError(f"ny must be a positive integer, got {self.ny!r}")
+        if self.size > INDEX_LIMIT:
+            raise DomainError(f"{self.nx} x {self.ny} elements are more than "
+                              "numpy can index")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise DomainError(f"element pitch must be positive, got {self.delta!r}")
         if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):

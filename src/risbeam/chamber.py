@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArraySpec, Direction, SPEED_OF_LIGHT,
+from .array_model import (INDEX_LIMIT, ArraySpec, Direction, SPEED_OF_LIGHT,
                           element_phase_profile, received_signal)
 from .codebook import Codebook, _axis_values, _row_blocks, absorption_masks
 from .datasets import AbsorptionTable, BeampatternTable
@@ -73,6 +73,9 @@ class LinkBudget:
         if not isinstance(self.samples_per_point, (int, np.integer)) \
                 or self.samples_per_point < 1:
             raise DomainError("samples_per_point must be a positive integer")
+        if self.samples_per_point > INDEX_LIMIT:
+            raise DomainError(f"{self.samples_per_point} samples per point "
+                              "are more than numpy can index")
 
 
 def _combine_with_floor(signal_dbm: np.ndarray, floor_dbm: float) -> np.ndarray:

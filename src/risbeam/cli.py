@@ -353,8 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="beam row as 'AZ,EL' (default: strongest row)")
     p.add_argument("--elevation", type=float, default=-3.0,
                    help="elevation slice for absorption widths")
-    p.add_argument("--sg-window", type=int, default=7)
-    p.add_argument("--sg-order", type=int, default=4)
+    p.add_argument("--sg-window", type=int,
+                   default=analysis.SgFilterSpec.window)
+    p.add_argument("--sg-order", type=int,
+                   default=analysis.SgFilterSpec.order)
     p.add_argument("--out-dir", help="where analysis CSVs go")
     p.add_argument("--svg", action="store_true", help="also render SVG plots")
     p.set_defaults(func=_cmd_analyze)
@@ -363,11 +365,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", help="beampattern CSV")
     p.add_argument("--mapping", help="column-name mapping file")
     p.add_argument("--out", required=True, help="model file path")
-    p.add_argument("--epochs", type=int, default=750)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--split-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    defaults = surrogate.TrainSpec
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--learning-rate", type=float,
+                   default=defaults.learning_rate)
+    p.add_argument("--split-fraction", type=float,
+                   default=defaults.split_fraction)
+    p.add_argument("--seed", type=_parse_seed, default=defaults.seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="evaluate a saved surrogate model")

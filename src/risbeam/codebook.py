@@ -46,9 +46,14 @@ def _index_type(phase_set: np.ndarray) -> type:
 
 
 def _axis_values(name: str, lo, hi, step) -> np.ndarray:
-    """Integer-degree axis lo..hi inclusive; fractional grids are rejected
-    so angles stay exact dataset keys."""
-    for label, v in (("min", lo), ("max", hi), ("step", step)):
+    """Integer-degree axis lo..hi inclusive within [-90, 90]; fractional
+    grids are rejected so angles stay exact dataset keys."""
+    for label, v, limit in (("min", lo, 90), ("max", hi, 90),
+                            ("step", step, 180)):
+        # False for nan as well; a bounded value is safe to pass to int()
+        if not -limit <= v <= limit:
+            raise DomainError(
+                f"{name} {label} must lie in [-{limit}, {limit}], got {v!r}")
         if float(v) != int(v):
             raise DomainError(f"{name} {label} must be an integer degree, got {v!r}")
     lo, hi, step = int(lo), int(hi), int(step)

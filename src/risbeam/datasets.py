@@ -124,8 +124,12 @@ class _Table:
         """Schema-specific checks beyond the shared ones."""
 
     def validate(self) -> None:
-        """Schema checks applied on top of the shape checks: ascending
-        labels, unique beams, sane finite powers."""
+        """Schema checks applied on top of the shape checks: finite beams
+        and ascending finite labels, unique beams, sane finite powers."""
+        if not np.all(np.isfinite(self.beams)):
+            raise DomainError("beam angles must be finite")
+        if not np.all(np.isfinite(self._labels)):
+            raise DomainError(f"{self.axis} must be finite")
         if np.any(np.diff(self._labels) <= 0):
             raise DomainError(f"{self.axis} must be strictly ascending")
         self._check_schema()
@@ -322,8 +326,10 @@ def _read(cls, path, names: dict, lines: list) -> _Table:
             raise ParseError(f"{path}: header column {col} ({name!r}) does "
                              f"not start with {prefix!r}")
         try:
-            labels.append(cls.axis_type(name[len(prefix):]))
-        except ValueError:
+            # the int64 cast raises OverflowError for counts past its range
+            labels.append(np.array(cls.axis_type(name[len(prefix):]),
+                                   dtype=cls.axis_type))
+        except (ValueError, OverflowError):
             raise ParseError(f"{path}: header column {col} ({name!r}): "
                              f"bad {cls.noun}") from None
 

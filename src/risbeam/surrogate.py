@@ -77,8 +77,12 @@ class TrainSpec:
             raise DomainError("batch_size must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise DomainError("split_fraction must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DomainError("learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(eq=False)
@@ -303,13 +307,14 @@ def train(
     train_y_raw = records[train_idx, -1]
     val_x_raw = records[val_idx, :-1]
     val_y_raw = records[val_idx, -1]
+    for name, y in (("training", train_y_raw), ("validation", val_y_raw)):
+        if float(y.std()) == 0.0:
+            raise DomainError(f"{name} targets are constant; NMSE undefined")
 
     lo = train_x_raw.min(axis=0)
     hi = train_x_raw.max(axis=0)
     mean = float(train_y_raw.mean())
     std = float(train_y_raw.std())
-    if std == 0.0:
-        std = 1.0
 
     # Same generator continues from the split permutation draw: the whole
     # training trajectory is a function of train_spec.seed.

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from risbeam.cli import main
-from risbeam.codebook import MODE_UNCOMPENSATED, read_codebook
+from risbeam.analysis import SgFilterSpec
+from risbeam.array_model import ArraySpec
+from risbeam.chamber import ChamberGeometry, LinkBudget
+from risbeam.cli import _build_parser, main
+from risbeam.codebook import CodebookGrid, MODE_UNCOMPENSATED, read_codebook
 from risbeam.config import (
     OUTPUT_DIR_ENV,
     default_output_dir,
@@ -17,7 +21,7 @@ from risbeam.datasets import (
     write_beampattern,
 )
 from risbeam.errors import ConfigError
-from risbeam.surrogate import flatten_table, load_model
+from risbeam.surrogate import TrainSpec, flatten_table, load_model
 
 SMALL_CAMPAIGN = """
 [array]
@@ -521,6 +525,16 @@ class TestTrainPredictCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_train_non_finite_learning_rate_exits_1(
+            self, rate, small_beampattern_csv, tmp_path, capsys):
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(tmp_path / "m.txt"), "--batch-size", "1",
+                     "--epochs", "2", "--learning-rate", rate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: learning_rate")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_train_on_absorption_exits_1(self, slice_absorption_csv,
                                          tmp_path, capsys):
         assert main(["train", str(slice_absorption_csv),
@@ -681,3 +695,89 @@ def test_non_utf8_input_exits_cleanly(argv, code, tmp_path, capsys):
     assert main([a.replace("{path}", str(p)) for a in argv]) == code
     err = capsys.readouterr().err
     assert "utf-8" in err.lower() and "Traceback" not in err
+
+
+# the nine integer-degree keys, which _axis_values turns into grid axes
+DEGREE_KEYS = [("geometry", f"rotation_{part}_deg") for part in
+               ("min", "max", "step")] + [
+    ("codebook", f"{axis}_{part}_deg") for axis in ("azimuth", "elevation")
+    for part in ("min", "max", "step")]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    *[(s, k, v) for s, k in DEGREE_KEYS for v in ("nan", "inf", "-inf")],
+    ("codebook", "azimuth_max_deg", "120"),
+    ("codebook", "elevation_min_deg", "-93"),
+    ("geometry", "rotation_max_deg", "93"),
+])
+def test_bad_degree_exits_2(section, key, value, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert key.split("_")[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("array", "nx"), ("array", "ny"), ("array", "phase_count"),
+    ("budget", "samples_per_point"),
+])
+def test_size_numpy_cannot_index_exits_2(section, key, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{section}]\n{key} = {10 ** 20}\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "numpy can index" in err
+    assert not out.exists()
+
+
+def _assert_fields_equal(actual, expected):
+    for f in dataclasses.fields(expected):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        assert np.array_equal(a, e), f"{type(expected).__name__}.{f.name}"
+
+
+def test_default_campaign_equals_library_defaults():
+    """The INI table's defaults and the dataclass defaults are one campaign."""
+    cfg = load_campaign_config(None)
+    _assert_fields_equal(cfg.array, ArraySpec(10, 10))
+    _assert_fields_equal(cfg.geometry, ChamberGeometry())
+    _assert_fields_equal(cfg.budget, LinkBudget())
+    _assert_fields_equal(cfg.grid, CodebookGrid())
+
+
+def test_cli_defaults_equal_spec_defaults():
+    parser = _build_parser()
+    args = parser.parse_args(["train", "t.csv", "--out", "m.txt"])
+    _assert_fields_equal(args, TrainSpec())
+    args = parser.parse_args(["analyze", "t.csv"])
+    assert (args.sg_window, args.sg_order) == (SgFilterSpec().window,
+                                               SgFilterSpec().order)
+
+
+@pytest.mark.parametrize("text, flags", [
+    pytest.param("# theta_t=0\ntheta_n,phi_n,rot_-3,rot_0,rot_3\n"
+                 "nan,0,-60,-61,-62\n0,0,-60,-61,-62\n",
+                 ["--beam", "0,0", "--smooth"], id="nan-beam"),
+    pytest.param("# theta_t=0\ntheta_n,phi_n,rot_nan,rot_0,rot_3\n"
+                 "0,0,-60,-61,-62\n", ["--smooth"], id="rot_nan"),
+    pytest.param("# theta_t=0\ntheta_n,phi_n,rot_-3,rot_0,rot_1e999\n"
+                 "0,0,-60,-61,-62\n", ["--smooth"], id="rot_1e999"),
+    pytest.param("theta_n,phi_n,n_1,n_99999999999999999999999\n"
+                 "0,0,-60,-61\n3,0,-60,-61\n", ["--hpbw", "--elevation", "0"],
+                 id="count-past-int64"),
+])
+def test_unwritable_table_labels_exit_1(text, flags, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    outdir = tmp_path / "out"
+    assert main(["analyze", str(table), *flags, "--sg-window", "3",
+                 "--sg-order", "1", "--out-dir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not outdir.exists() or not any(outdir.iterdir())

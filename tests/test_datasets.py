@@ -62,6 +62,20 @@ class TestBeampatternTable:
         with pytest.raises(DomainError):
             t.validate()
 
+    @pytest.mark.parametrize("beams, rotations", [
+        ([(np.nan, 0)], [0.0]),
+        ([(0, np.inf)], [0.0]),
+        ([(0, 0)], [np.nan]),
+        ([(0, 0)], [np.inf]),
+    ])
+    def test_validate_catches_non_finite_beams_and_labels(self, beams,
+                                                         rotations, tmp_path):
+        t = BeampatternTable(beams, rotations, [[-60.0]])
+        with pytest.raises(DomainError, match="finite"):
+            t.validate()
+        with pytest.raises(DomainError, match="finite"):
+            write_beampattern(t, tmp_path / "bp.csv")
+
     def test_row_and_column_slices(self):
         t = small_beampattern()
         labels, vals = t.row((0, 0))

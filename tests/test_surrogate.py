@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ class TestSpecs:
         with pytest.raises(DomainError):
             TrainSpec(learning_rate=0.0)
         TrainSpec(epochs=0)  # legal: evaluate the untrained model
+
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": math.nan}, {"learning_rate": math.inf},
+        {"seed": -1}, {"seed": 1.5}, {"seed": None},
+    ])
+    def test_train_spec_rejects(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            TrainSpec(**kwargs)
 
 
 class TestFlattenTable:
@@ -292,6 +301,17 @@ class TestTrain:
         with pytest.raises(DomainError, match=counts):
             train(synthetic_records(n, rng), train_spec=spec,
                   epoch_loss_out=losses)
+        assert losses == []  # no epoch ran
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_constant_targets_rejected_before_training(self, split, rng):
+        losses = []
+        spec = TrainSpec(epochs=2, batch_size=5, seed=3)
+        records = synthetic_records(50, rng)
+        train_idx, val_idx = split_records(records, spec)
+        records[train_idx if split == "training" else val_idx, -1] = -90.0
+        with pytest.raises(DomainError, match=f"{split} targets are constant"):
+            train(records, train_spec=spec, epoch_loss_out=losses)
         assert losses == []  # no epoch ran
 
     def test_smallest_scorable_split_trains(self, rng):
