@@ -105,10 +105,6 @@ class ArraySpec:
     def active_count(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency_hz
-
     def with_mask(self, mask: np.ndarray) -> "ArraySpec":
         return ArraySpec(self.nx, self.ny, self.delta, self.frequency_hz,
                          self.phase_set, mask)

@@ -47,6 +47,7 @@ _RUNTIME_ERRORS = (
     FitDivergenceError,
     ModelFormatError,
     OSError,
+    MemoryError,
 )
 
 
@@ -398,7 +399,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -8,14 +8,16 @@ Rows are ordered azimuth-major with elevation varying fastest, i.e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import (ArraySpec, Direction, PhaseConfig,
                           element_phase_profile, quantize_phases, TWO_PI)
-from .datasets import _fmt_angle, _read_lines, _write_lines
-from .errors import DomainError, NotFoundError, ParseError
+from .datasets import (_as_beams, _beam_index, _check_beams, _fmt_angle,
+                       _fmt_exact, _header, _parse_rows, _read_lines,
+                       _write_rows)
+from .errors import DomainError, ParseError
 
 MODE_TX_COMPENSATED = "tx-compensated"
 MODE_UNCOMPENSATED = "uncompensated"
@@ -100,15 +102,13 @@ class Codebook:
     mode: str
     beams: np.ndarray
     indices: np.ndarray
-    _row_of: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        beams = np.asarray(self.beams, dtype=float)
+        beams = _as_beams(self.beams)
+        _check_beams(beams)
         indices = np.asarray(self.indices)
-        if beams.ndim != 2 or beams.shape[1] != 2:
-            raise DomainError("beams must have shape (n, 2)")
         if indices.shape != (beams.shape[0], self.spec.size):
             raise DomainError(
                 f"indices must have shape ({beams.shape[0]}, {self.spec.size})")
@@ -118,8 +118,6 @@ class Codebook:
         indices = indices.astype(_index_type(self.spec.phase_set), copy=False)
         object.__setattr__(self, "beams", beams)
         object.__setattr__(self, "indices", indices)
-        row_of = {(float(a), float(e)): i for i, (a, e) in enumerate(beams)}
-        object.__setattr__(self, "_row_of", row_of)
 
     def __len__(self) -> int:
         return self.beams.shape[0]
@@ -129,23 +127,12 @@ class Codebook:
         return PhaseConfig(self.spec.phase_set[idx], idx)
 
     def index_of(self, beam: Direction) -> int:
-        key = (float(beam.azimuth_deg), float(beam.elevation_deg))
-        try:
-            return self._row_of[key]
-        except KeyError:
-            nearest = self._nearest_keys(key)
-            raise NotFoundError(
-                f"beam ({key[0]:g}, {key[1]:g}) not in codebook; "
-                f"nearest beams: {nearest}") from None
+        return _beam_index(self.beams, (beam.azimuth_deg, beam.elevation_deg),
+                           "codebook")
 
     def entries(self):
         for i, (az, el) in enumerate(self.beams):
             yield Direction(az, el), self.config(i)
-
-    def _nearest_keys(self, key, count: int = 3) -> list:
-        d = np.hypot(self.beams[:, 0] - key[0], self.beams[:, 1] - key[1])
-        order = np.argsort(d, kind="stable")[:count]
-        return [(float(a), float(e)) for a, e in self.beams[order]]
 
 
 def lookup(codebook: Codebook, beam: Direction) -> PhaseConfig:
@@ -210,35 +197,24 @@ def absorption_masks(spec: ArraySpec, sides=(2, 4, 8, 10)) -> list:
 
 
 # ---------------------------------------------------------------------------
-# CSV export / import.  The header comment carries everything needed to
-# rebuild the codebook object; the body is one row per beam with the 3-bit
-# (or wider) phase indices.
-
-def _fmt_g17(v: float) -> str:
-    return "%.17g" % v
-
+# CSV export / import in the dataset beam-row layout.  The comment line
+# carries everything needed to rebuild the codebook object; the cells of a
+# beam's row are its 3-bit (or wider) phase indices.
 
 def write_codebook(codebook: Codebook, path) -> None:
     spec, tx = codebook.spec, codebook.tx
+    meta = ("nx=%d ny=%d delta=%s frequency_hz=%s"
+            " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s" % (
+                spec.nx, spec.ny, _fmt_exact(spec.delta),
+                _fmt_exact(spec.frequency_hz),
+                _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
+                codebook.mode, ",".join(map(_fmt_exact, spec.phase_set))))
     # Codebook validated every index against the phase set, so one string
     # per phase-set entry covers the body.
     lut = ["%d" % i for i in range(spec.phase_set.size)]
-
-    def lines():
-        yield ("# nx=%d ny=%d delta=%s frequency_hz=%s"
-               " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s" % (
-                   spec.nx, spec.ny, _fmt_g17(spec.delta),
-                   _fmt_g17(spec.frequency_hz),
-                   _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
-                   codebook.mode,
-                   ",".join(_fmt_g17(p) for p in spec.phase_set)))
-        yield "theta_n,phi_n," + ",".join("idx_%d" % k
-                                          for k in range(spec.size))
-        for (az, el), row in zip(codebook.beams, codebook.indices):
-            yield (_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                   + ",".join([lut[i] for i in row.tolist()]))
-
-    _write_lines(path, lines())
+    _write_rows(path, meta, ["idx_%d" % k for k in range(spec.size)],
+                codebook.beams, lambda r: ",".join(
+                    [lut[i] for i in codebook.indices[r].tolist()]))
 
 
 def read_codebook(path) -> Codebook:
@@ -269,33 +245,12 @@ def read_codebook(path) -> Codebook:
     except (ValueError, DomainError) as exc:
         raise ParseError(f"{path}: bad metadata: {exc}") from None
 
-    expected = "theta_n,phi_n," + ",".join(
-        "idx_%d" % k for k in range(spec.size))
-    if lines[1] != expected:
+    if lines[1] != _header("idx_%d" % k for k in range(spec.size)):
         raise ParseError(f"{path}: header does not match the codebook schema")
 
-    body = lines[2:]
-    phase_count = spec.phase_set.size
-    beams = np.empty((len(body), 2))
-    rows = np.empty((len(body), spec.size), dtype=_index_type(spec.phase_set))
-    for r, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != 2 + spec.size:
-            raise ParseError(
-                f"{path}: line {r + 3}: expected {2 + spec.size} fields, "
-                f"got {len(parts)}")
-        try:
-            beams[r] = float(parts[0]), float(parts[1])
-            # one conversion per row, int()'s syntax for every field;
-            # values past int64 raise OverflowError
-            row = np.array(parts[2:], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: line {r + 3}: {exc}") from None
-        # checked before the store, which would wrap e.g. 65536 to 0 in int16
-        if row.min() < 0 or row.max() >= phase_count:
-            raise ParseError(f"{path}: line {r + 3}: index outside the "
-                             f"phase set [0, {phase_count})")
-        rows[r] = row
+    rows = np.empty((len(lines) - 2, spec.size),
+                    dtype=_index_type(spec.phase_set))
+    beams = _parse_rows(path, lines[2:], 3, rows, spec.phase_set.size)
     try:
         return Codebook(spec, tx, mode, beams, rows)
     except DomainError as exc:

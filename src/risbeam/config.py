@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .array_model import ArraySpec, Direction, uniform_phase_set
-from .codebook import MODE_TX_COMPENSATED, MODE_UNCOMPENSATED, CodebookGrid
+from .codebook import (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED, MODES,
+                       CodebookGrid)
 from .chamber import ChamberGeometry, LinkBudget, _check_seed
 from .errors import ConfigError, DomainError
 
@@ -100,6 +101,9 @@ def _read_values(path) -> dict[str, dict[str, object]]:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError("a [DEFAULT] section is not supported; put each key "
+                          "in its own section")
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(
@@ -148,7 +152,7 @@ def load_campaign_config(path=None) -> CampaignConfig:
         raise ConfigError(str(exc)) from exc
 
     mode = c["mode"]
-    if mode not in (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED):
+    if mode not in MODES:
         raise ConfigError(
             f"mode must be {MODE_TX_COMPENSATED!r} or {MODE_UNCOMPENSATED!r}, "
             f"got {mode!r}"

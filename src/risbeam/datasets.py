@@ -11,10 +11,12 @@ measurement campaign:
   Header ``theta_n,phi_n,n_<count>,...``.
 
 Both schemas go through one writer and one reader; ``read_table`` sniffs the
-schema from the header.  Powers are serialized with 6 decimal places (far
-below any measurement precision), angles as plain integers when integral.
-Readers accept an optional column-name mapping so externally produced files
-with renamed headers can be ingested without rewriting them.
+schema from the header.  Codebook files share the beam-row layout beneath
+(header, ``<az>,<el>,<cells>`` lines, beam checks and lookup).  Powers are
+serialized with 6 decimal places (far below any measurement precision),
+angles as plain integers when integral.  Readers accept an optional
+column-name mapping so externally produced files with renamed headers can
+be ingested without rewriting them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def _fmt_angle(v: float) -> str:
 
 def _fmt_power(v: float) -> str:
     return "%.6f" % v
+
+
+def _fmt_exact(v: float) -> str:  # 17 digits: reads back the same float
+    return "%.17g" % v
 
 
 def _read_lines(path) -> list:
@@ -79,9 +85,29 @@ def _as_beams(beams) -> np.ndarray:
     return arr
 
 
+def _check_beams(beams: np.ndarray) -> None:
+    """Beams are dataset keys: each finite and none repeated."""
+    if not np.all(np.isfinite(beams)):
+        raise DomainError("beam angles must be finite")
+    if len(set(map(tuple, beams.tolist()))) != beams.shape[0]:
+        raise DomainError("duplicate beams")
+
+
 def _nearest(values: np.ndarray, key: float, count: int = 3) -> list:
     order = np.argsort(np.abs(values - key), kind="stable")[:count]
     return [float(v) for v in values[order]]
+
+
+def _beam_index(beams: np.ndarray, beam, where: str) -> int:
+    """Row of the exact (azimuth, elevation) match of `beam` in `beams`."""
+    az, el = float(beam[0]), float(beam[1])
+    hits = np.nonzero((beams[:, 0] == az) & (beams[:, 1] == el))[0]
+    if hits.size == 0:
+        raise NotFoundError(
+            f"beam ({az:g}, {el:g}) not in {where}; nearest azimuths "
+            f"{_nearest(np.unique(beams[:, 0]), az)}, nearest elevations "
+            f"{_nearest(np.unique(beams[:, 1]), el)}")
+    return int(hits[0])
 
 
 class _Table:
@@ -124,18 +150,13 @@ class _Table:
         """Schema-specific checks beyond the shared ones."""
 
     def validate(self) -> None:
-        """Schema checks applied on top of the shape checks: finite beams
-        and ascending finite labels, unique beams, sane finite powers."""
-        if not np.all(np.isfinite(self.beams)):
-            raise DomainError("beam angles must be finite")
+        """Finite unique beams, ascending finite labels, sane finite powers."""
+        _check_beams(self.beams)
         if not np.all(np.isfinite(self._labels)):
             raise DomainError(f"{self.axis} must be finite")
         if np.any(np.diff(self._labels) <= 0):
             raise DomainError(f"{self.axis} must be strictly ascending")
         self._check_schema()
-        keys = {(a, e) for a, e in map(tuple, self.beams)}
-        if len(keys) != self.beams.shape[0]:
-            raise DomainError("duplicate beams in table")
         if not np.all(np.isfinite(self.power_dbm)):
             raise DomainError("power matrix contains non-finite values")
         if np.any(self.power_dbm < POWER_SANITY_FLOOR_DBM):
@@ -143,16 +164,8 @@ class _Table:
                 f"power below sanity floor {POWER_SANITY_FLOOR_DBM} dBm")
 
     def row(self, beam) -> TableSlice:
-        az, el = float(beam[0]), float(beam[1])
-        hits = np.nonzero((self.beams[:, 0] == az)
-                          & (self.beams[:, 1] == el))[0]
-        if hits.size == 0:
-            da = _nearest(self.beams[:, 0], az)
-            de = _nearest(self.beams[:, 1], el)
-            raise NotFoundError(
-                f"beam ({az:g}, {el:g}) not in table; nearest azimuths "
-                f"{da}, nearest elevations {de}")
-        return TableSlice(self._labels.copy(), self.power_dbm[hits[0]].copy())
+        r = _beam_index(self.beams, beam, "table")
+        return TableSlice(self._labels.copy(), self.power_dbm[r].copy())
 
     def column(self, label) -> TableSlice:
         key = self.axis_type(label)
@@ -246,22 +259,71 @@ def _resolve_mapping(mapping) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# writer and reader, one each for both schemas
+# the beam-row writer and parser, shared with codebook files, and the table
+# writer and reader over them
+
+def _header(columns) -> str:
+    return "theta_n,phi_n," + ",".join(columns)
+
+
+def _write_rows(path, comment, columns, beams, cell_text) -> None:
+    """Write an optional ``# <comment>`` line, the header
+    ``theta_n,phi_n,<columns>`` and one ``<az>,<el>,<cells>`` line per beam,
+    where ``cell_text(r)`` is the text of row r's cells."""
+    def lines():
+        if comment is not None:
+            yield "# " + comment
+        yield _header(columns)
+        for r, (az, el) in enumerate(beams.tolist()):
+            yield _fmt_angle(az) + "," + _fmt_angle(el) + "," + cell_text(r)
+
+    _write_lines(path, lines())
+
+
+def _parse_rows(path, lines, first_ln, cells, limit=None) -> np.ndarray:
+    """Parse ``<az>,<el>,<cells>`` lines into the preallocated `cells`
+    matrix and return the (n, 2) float beams.  One numpy call per line
+    converts its cells, with float()'s syntax or, for integer phase-set
+    indices, int()'s; those are checked against [0, limit) before the store,
+    which would wrap e.g. 65536 to 0 in int16."""
+    n_fields = 2 + cells.shape[1]
+    dtype = float if limit is None else np.int64
+    beams = np.empty((len(lines), 2))
+    for r, line in enumerate(lines):
+        where = f"{path}: line {first_ln + r}: "
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(f"{where}expected {n_fields} fields, "
+                             f"got {len(parts)}")
+        try:
+            beams[r] = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"{where}bad beam angles {parts[:2]!r}") from None
+        try:  # an integer past int64 raises OverflowError
+            row = np.array(parts[2:], dtype)
+        except (ValueError, OverflowError):
+            for col, text in enumerate(parts[2:], start=1):
+                try:
+                    np.array(text, dtype)
+                except (ValueError, OverflowError):
+                    raise ParseError(f"{where}data column {col}: "
+                                     f"bad value {text!r}") from None
+            raise
+        if limit is not None and (row.min() < 0 or row.max() >= limit):
+            raise ParseError(f"{where}index outside the phase set "
+                             f"[0, {limit})")
+        cells[r] = row
+    return beams
+
 
 def _write_table(table: _Table, path) -> None:
     table.validate()
     prefix = DEFAULT_MAPPING[table.prefix_key]
-
-    def lines():
-        if table.has_theta_t:
-            yield "# theta_t=%s" % _fmt_angle(table.theta_t_deg)
-        yield "theta_n,phi_n," + ",".join(prefix + _fmt_angle(v)
-                                           for v in table._labels)
-        for (az, el), row in zip(table.beams, table.power_dbm):
-            yield (_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                   + ",".join(_fmt_power(p) for p in row))
-
-    _write_lines(path, lines())
+    comment = ("theta_t=%s" % _fmt_angle(table.theta_t_deg)
+               if table.has_theta_t else None)
+    _write_rows(path, comment, [prefix + _fmt_angle(v) for v in table._labels],
+                table.beams, lambda r: ",".join(
+                    [_fmt_power(p) for p in table.power_dbm[r].tolist()]))
 
 
 def _parse_theta_t(path, line: str, key: str) -> float:
@@ -274,32 +336,6 @@ def _parse_theta_t(path, line: str, key: str) -> float:
     except ValueError:
         raise ParseError(f"{path}: line 1: bad {key} "
                          f"value {comment[len(key) + 1:]!r}") from None
-
-
-def _parse_rows(path, lines, start_ln, n_cols):
-    beams, rows = [], []
-    for ln, line in enumerate(lines, start=start_ln):
-        parts = line.split(",")
-        if len(parts) != 2 + n_cols:
-            raise ParseError(f"{path}: line {ln}: expected {2 + n_cols} "
-                             f"fields, got {len(parts)}")
-        try:
-            az, el = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {ln}: bad beam angles {parts[:2]!r}") from None
-        vals = []
-        for col, p in enumerate(parts[2:], start=1):
-            try:
-                vals.append(float(p))
-            except ValueError:
-                raise ParseError(f"{path}: line {ln}, data column {col}: "
-                                 f"not a number: {p!r}") from None
-        beams.append((az, el))
-        rows.append(vals)
-    if not beams:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(beams, float), np.array(rows, float)
 
 
 def _read(cls, path, names: dict, lines: list) -> _Table:
@@ -333,7 +369,11 @@ def _read(cls, path, names: dict, lines: list) -> _Table:
             raise ParseError(f"{path}: header column {col} ({name!r}): "
                              f"bad {cls.noun}") from None
 
-    beams, power = _parse_rows(path, lines[head + 1:], head + 2, len(labels))
+    body = lines[head + 1:]
+    if not body:
+        raise ParseError(f"{path}: no data rows")
+    power = np.empty((len(body), len(labels)))
+    beams = _parse_rows(path, body, head + 2, power)
     table = cls(beams, labels, power, **extra)
     try:
         table.validate()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import nmse
-from .datasets import BeampatternTable, _write_lines
+from .datasets import BeampatternTable, _fmt_exact, _write_lines
 from .errors import DomainError, ModelFormatError
 
 __all__ = [
@@ -428,7 +428,7 @@ def gradient_check(
 
 
 def _format_vector(values: np.ndarray) -> str:
-    return " ".join("%.17g" % v for v in np.asarray(values, dtype=float).reshape(-1))
+    return " ".join(map(_fmt_exact, np.asarray(values, dtype=float).reshape(-1)))
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -71,11 +71,12 @@ def percent_d_codebook_text(cb):
 
 def int_parse_outcome(text, spec):
     """Oracle: the body parsed with int() per cell and range-checked row by
-    row.
+    row, then its beams checked as keys.
 
     ("accept", beams, indices) or ("reject", line), where line is the first
     row with a wrong field count, a field int() rejects or an index outside
-    the phase set (values past int64 included).
+    the phase set (values past int64 included), or None when every row
+    parses but a beam is not finite or repeats an earlier beam.
     """
     beams, rows = [], []
     for ln, line in enumerate(text.splitlines()[2:], start=3):
@@ -89,6 +90,9 @@ def int_parse_outcome(text, spec):
             return ("reject", ln)
         if any(not 0 <= i < spec.phase_set.size for i in rows[-1]):
             return ("reject", ln)
+    if (not all(math.isfinite(v) for beam in beams for v in beam)
+            or len(set(beams)) != len(beams)):
+        return ("reject", None)
     return ("accept", np.array(beams, float).reshape(-1, 2),
             np.array(rows, int).reshape(-1, spec.size))
 
@@ -483,6 +487,27 @@ class TestCodebookIo:
             with pytest.raises(ParseError, match=r": line 3: index outside "
                                                  r"the phase set \[0, 8\)"):
                 read_codebook(p)
+
+    @pytest.mark.parametrize("beam, message", [
+        ("nan,0", "finite"),
+        ("0,0", "duplicate beams"),  # repeats the first row's beam
+    ])
+    def test_bad_beam_rejected(self, beam, message, tmp_path):
+        spec = ArraySpec(2, 1)
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid(azimuth_deg=(0, 3, 3),
+                                         elevation_deg=(0, 0, 3)))
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        text = p.read_text().splitlines()
+        assert text[-1].startswith("3,0,")
+        text[-1] = beam + text[-1][3:]
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(ParseError, match=message):
+            read_codebook(p)
+        with pytest.raises(DomainError, match=message):
+            Codebook(spec, cb.tx, cb.mode,
+                     [(0, 0), tuple(map(float, beam.split(",")))], cb.indices)
 
     def test_int32_phase_set_reads_back_equal(self, tmp_path):
         spec = ArraySpec(3, 2, phase_set=uniform_phase_set(2**15 + 1))

@@ -7,6 +7,7 @@ import pytest
 from risbeam.analysis import SgFilterSpec
 from risbeam.array_model import ArraySpec
 from risbeam.chamber import ChamberGeometry, LinkBudget
+from risbeam import cli
 from risbeam.cli import _build_parser, main
 from risbeam.codebook import CodebookGrid, MODE_UNCOMPENSATED, read_codebook
 from risbeam.config import (
@@ -139,6 +140,16 @@ class TestConfig:
         p.write_text(f"[campaign]\nseed = {2 ** 128 - 1}\n")
         assert load_campaign_config(p).seed == 2 ** 128 - 1
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nnx = 4\n",  # no section would pick nx up
+        "[DEFAULT]\nnx = 4\n[array]\nny = 5\n",  # configparser merges it
+    ])
+    def test_default_section_rejected(self, text, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            load_campaign_config(p)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_campaign_config(tmp_path / "nope.ini")
@@ -190,6 +201,16 @@ class TestCodebookCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "seed" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "build_codebook", no_memory)
+        out = tmp_path / "cb.csv"
+        assert main(["codebook", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: MemoryError\n"
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,8 @@
+import math
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,35 @@ def small_absorption():
     power = [[-75.0, -66.0, -60.0],
              [-76.5, -67.25, -61.0]]
     return AbsorptionTable(beams, counts, power)
+
+
+def float_parse_outcome(text):
+    """Oracle: the body of a beampattern file parsed with float() per cell
+    row by row, then checked as a table.
+
+    ("accept", beams, power) or ("reject", line), where line is the first
+    row with a wrong field count or a field float() rejects, or None when
+    every row parses but a beam is not finite or repeated, or a power is not
+    finite or lies below the sanity floor.
+    """
+    beams, rows = [], []
+    for ln, line in enumerate(text.splitlines()[2:], start=3):
+        parts = line.split(",")
+        if len(parts) != 5:
+            return ("reject", ln)
+        try:
+            cells = [float(p) for p in parts]
+        except ValueError:
+            return ("reject", ln)
+        beams.append(tuple(cells[:2]))
+        rows.append(cells[2:])
+    values = [v for row in rows for v in row]
+    if (not all(math.isfinite(v) for beam in beams for v in beam)
+            or len(set(beams)) != len(beams)
+            or not all(math.isfinite(v) for v in values)
+            or any(v < POWER_SANITY_FLOOR_DBM for v in values)):
+        return ("reject", None)
+    return ("accept", np.array(beams), np.array(rows))
 
 
 class TestBeampatternTable:
@@ -243,6 +276,40 @@ class TestReaderErrors:
         p.write_bytes(b"theta_n,phi_n,rot_0\n0,0,-60\xff\n")
         with pytest.raises(ParseError, match="UTF-8"):
             reader(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.integers(0, 2), col=st.integers(0, 4),
+           field=st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True).map(repr),
+               st.floats(-150, 0).map(lambda v: "%.6f" % v),
+               st.sampled_from(["nan", "-inf", "inf", "1e999", "-6_0.5",
+                                "1_0", " -61.5 ", "\t-60\r", "-0", "0x1",
+                                ".", "", " ", "-", "1__0", "+-1",
+                                "\u0663", "\uff11"]),
+               st.text("0123456789+-_ .eEinfa\t\u0663", max_size=7),
+               st.text(max_size=4)))
+    def test_row_parser_matches_float_parser(self, row, col, field):
+        """Each body row's cells are one numpy conversion; on valid and
+        mutated rows the reader accepts what float() per cell accepted, with
+        the same values, and names the same line when it rejects."""
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "bp.csv"
+            write_beampattern(small_beampattern(), p)
+            lines = p.read_text(encoding="utf-8").splitlines()
+            parts = lines[2 + row].split(",")
+            parts[col] = field
+            lines[2 + row] = ",".join(parts)
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = float_parse_outcome(p.read_text(encoding="utf-8"))
+            try:
+                back = read_table(p)
+            except ParseError as exc:
+                line = re.search(r": line (\d+): ", str(exc))
+                assert expected == ("reject", line and int(line.group(1)))
+                return
+        assert expected[0] == "accept"
+        np.testing.assert_array_equal(back.beams, expected[1])
+        np.testing.assert_array_equal(back.power_dbm, expected[2])
 
     def test_validation_failure_reported_as_parse_error(self, tmp_path):
         p = tmp_path / "bp.csv"
