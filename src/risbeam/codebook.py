@@ -247,6 +247,8 @@ def read_codebook(path) -> Codebook:
 
     if lines[1] != _header("idx_%d" % k for k in range(spec.size)):
         raise ParseError(f"{path}: header does not match the codebook schema")
+    if len(lines) == 2:
+        raise ParseError(f"{path}: no data rows")
 
     rows = np.empty((len(lines) - 2, spec.size),
                     dtype=_index_type(spec.phase_set))

@@ -486,6 +486,12 @@ def load_model(path) -> MlpModel:
     except (ValueError, DomainError) as exc:
         raise ModelFormatError(f"bad spec line: {exc}") from exc
 
+    # checked before layer_shapes: the spec alone could ask for any memory
+    needed = 8 + spec.input_dim + spec.hidden_layers * (spec.hidden_width + 2)
+    if needed > len(lines):
+        raise ModelFormatError(
+            f"spec line asks for {needed} lines, the file has {len(lines)}")
+
     def expect(index: int, prefix: str) -> str:
         if index >= len(lines) or not lines[index].startswith(prefix + " "):
             raise ModelFormatError(f"line {index + 1}: expected {prefix!r}")

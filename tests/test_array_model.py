@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.array_model import (
+    _BUCKETS,
+    _TRUSTED,
+    _quantize_exact,
     ArraySpec,
     Direction,
     PhaseConfig,
@@ -278,6 +281,113 @@ class TestQuantization:
         points = np.append(phase_set[:-1] + cell / 2, TWO_PI - cell / 2)
         np.testing.assert_array_equal(quantize_phases(points, phase_set),
                                       dense_argmin(points, phase_set))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        # once a RuntimeWarning from the wrap and a silent index K - 1
+        with pytest.raises(DomainError, match="finite"):
+            quantize_phases(np.array([0.5, bad, 1.0]), uniform_phase_set(8))
+
+
+# Sets whose entries lie a few ulps apart, also across the 2*pi wrap.
+ULP_SETS = [
+    np.array([1.0, 1.0 + 2**-52, 1.0 + 2**-51, 4.0]),
+    np.array([0.0, np.pi, np.nextafter(np.pi, 4), np.nextafter(TWO_PI, 0)]),
+    np.array([0.0, 2**-40, 3.0]),
+    np.array([5.0, np.nextafter(5.0, 6)]),
+]
+BUCKET = TWO_PI / _BUCKETS
+
+
+def hard_points(phase_set):
+    """Both float neighbours of every circular midpoint, of the bucket
+    edges around it and of every entry, plus the points around 0 and 2*pi:
+    where the bucket table must hand over to the exact search.  The
+    midpoints also come shifted by whole turns to just inside and far past
+    the trust limit, where rounding moves them by up to a few buckets."""
+    mids = phase_set + np.diff(phase_set, append=phase_set[0] + TWO_PI) / 2
+    edges = np.concatenate([np.floor(mids / BUCKET), np.ceil(mids / BUCKET),
+                            np.floor(phase_set / BUCKET)]) * BUCKET
+    base = np.concatenate([
+        mids, mids - TWO_PI, edges, phase_set,
+        [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0), -TWO_PI, -3 * TWO_PI,
+         -1000 * TWO_PI, _TRUSTED, -_TRUSTED],
+        (np.array([[2.0**17], [-2.0**17], [2.0**37]]) * TWO_PI + mids).ravel()])
+    return np.concatenate([base, np.nextafter(base, np.inf),
+                           np.nextafter(base, -np.inf)])
+
+
+def assert_exact(points, phase_set):
+    """quantize_phases equals the dense oracle and the exact helper, and a
+    2-d input keeps its shape."""
+    points = np.asarray(points, float)
+    expected = np.concatenate([dense_argmin(chunk, phase_set) for chunk
+                               in np.array_split(points, points.size // 256 + 1)])
+    got = quantize_phases(points, phase_set)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(_quantize_exact(points, phase_set), expected)
+    both = quantize_phases(np.stack([points, points[::-1]]), phase_set)
+    assert both.shape == (2, points.size)
+    np.testing.assert_array_equal(both, [expected, expected[::-1]])
+
+
+class TestBucketTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(phase_sets,
+                     st.sampled_from([uniform_phase_set(1)] + ULP_SETS)),
+           st.lists(st.floats(-1e7, 1e7), max_size=30),
+           st.lists(st.floats(_TRUSTED, 1e300).flatmap(
+               lambda v: st.sampled_from([v, -v])), max_size=5),
+           st.lists(st.integers(0, _BUCKETS - 1), max_size=20))
+    def test_matches_dense_argmin_and_exact_helper(self, phase_set, values,
+                                                   huge, buckets):
+        edges = np.array(buckets, dtype=float) * BUCKET
+        points = np.concatenate([
+            values, huge, hard_points(phase_set), edges,
+            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        assert_exact(points, phase_set)
+
+    @pytest.mark.parametrize("phase_set", [uniform_phase_set(1),
+                                           uniform_phase_set(8)] + ULP_SETS,
+                             ids=["K=1", "K=8", "ulps-a", "ulps-b", "ulps-c",
+                                  "ulps-d"])
+    def test_every_bucket_edge(self, phase_set):
+        edges = np.arange(_BUCKETS) * BUCKET
+        assert_exact(np.concatenate([edges, np.nextafter(edges, np.inf),
+                                     np.nextafter(edges, -np.inf)]),
+                     phase_set)
+
+    def test_4096_states(self, rng):
+        # Outside the property above, which would redo the dense oracle on
+        # every example.  The oracle takes seconds on all hard points and
+        # bucket edges at 4096 entries, so it checks a sample of them, and
+        # the exact helper, checked against it above, checks them all.
+        phase_set = uniform_phase_set(4096)
+        edges = np.arange(_BUCKETS) * BUCKET
+        points = np.concatenate([hard_points(phase_set), edges,
+                                 np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf)])
+        np.testing.assert_array_equal(quantize_phases(points, phase_set),
+                                      _quantize_exact(points, phase_set))
+        assert_exact(np.concatenate([rng.choice(points, 4000),
+                                     rng.uniform(-1e7, 1e7, 1000)]),
+                     phase_set)
+
+    def test_float_ties_beyond_two_entries_follow_the_exact_helper(self):
+        # From 3 to 3.5 the float distances to 1.0 and 1.0 + 2**-52 often
+        # tie.  The full argmin then takes entry 0, the exact helper keeps
+        # the bracketing entry 1, and quantize_phases gives the helper's
+        # answer everywhere.
+        phase_set = np.array([1.0, 1.0 + 2**-52, 6.0])
+        points = np.concatenate([hard_points(phase_set),
+                                 np.arange(_BUCKETS) * BUCKET])
+        np.testing.assert_array_equal(quantize_phases(points, phase_set),
+                                      _quantize_exact(points, phase_set))
+
+    def test_scalar_and_empty_keep_their_shape(self):
+        phase_set = uniform_phase_set(8)
+        assert quantize_phases(np.float64(np.pi / 4), phase_set).shape == ()
+        assert quantize_phases(np.zeros((0, 3)), phase_set).shape == (0, 3)
 
 
 class TestQuantizationLoss:

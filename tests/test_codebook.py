@@ -369,6 +369,14 @@ class TestCodebookIo:
         with pytest.raises(ParseError, match="metadata"):
             read_codebook(p)
 
+    def test_header_only_rejected(self, default_codebook, tmp_path):
+        # once a zero-beam Codebook
+        p = tmp_path / "cb.csv"
+        write_codebook(default_codebook, p)
+        p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_codebook(p)
+
     def test_ragged_row_rejected(self, default_codebook, tmp_path):
         p = tmp_path / "cb.csv"
         write_codebook(default_codebook, p)
