@@ -51,6 +51,11 @@ _RUNTIME_ERRORS = (
 )
 
 
+def _message(exc: Exception) -> str:
+    # a bare MemoryError has no message
+    return str(exc) or type(exc).__name__
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_lines(path, (",".join(str(v) for v in line)
@@ -121,7 +126,21 @@ def _parse_beam(text: str) -> Direction:
     return Direction(*_parse_point(text, "AZ,EL"))
 
 
-def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
+def _run_steps(steps) -> int:
+    """Run each step in order.  A step that fails is reported on stderr
+    under its name and the later steps still run, so the files of the steps
+    that worked stay; 1 if any step failed, else 0."""
+    status = 0
+    for step in steps:
+        try:
+            step()
+        except _RUNTIME_ERRORS as exc:
+            print(f"error: {step.__name__}: {_message(exc)}", file=sys.stderr)
+            status = 1
+    return status
+
+
+def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
     if args.fit:
         raise DomainError("--fit needs an absorption table "
                           "(half-power width vs subarray side)")
@@ -132,16 +151,18 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
     key = (beam.azimuth_deg, beam.elevation_deg)
     angles, cut = table.row(key)
     label = f"beam ({beam.azimuth_deg:g}, {beam.elevation_deg:g})"
+    smoothed = []  # the smoothed table, once that step has worked
 
-    if args.smooth:
-        smoothed = BeampatternTable(
+    def smooth():
+        result = BeampatternTable(
             table.beams, angles,
             analysis.savitzky_golay(table.power_dbm, sg), table.theta_t_deg)
         out = outdir / "smoothed.csv"
-        write_beampattern(smoothed, out)
+        write_beampattern(result, out)
         print(f"smooth: wrote {out}")
+        smoothed.append(result)
 
-    if args.hpbw:
+    def hpbw():
         width = analysis.hpbw(angles, cut)
         out = outdir / "hpbw.csv"
         _write_csv(out, ["beam_azimuth_deg", "beam_elevation_deg", "hpbw_deg"],
@@ -149,7 +170,7 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
                      "%.6f" % width]])
         print(f"hpbw: {width:.4f} deg for {label} -> {out}")
 
-    if args.localize:
+    def localize():
         estimates = analysis.localize_aoa(table)
         out = outdir / "localization.csv"
         _write_csv(
@@ -162,7 +183,7 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
         print(f"localize: {exact}/{len(estimates)} columns with "
               f"matching azimuth label -> {out}")
 
-    if args.reconstruct:
+    def reconstruct():
         pattern = analysis.hpi_reconstruct(angles, cut, args.tilt)
         out = outdir / "pattern3d.csv"
         _write_csv(
@@ -174,17 +195,20 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> None:
         print(f"reconstruct: {pattern.power_dbm.shape[0]}x"
               f"{pattern.power_dbm.shape[1]} grid at tilt {args.tilt:g} -> {out}")
 
-    if args.svg:
-        series = [(angles, cut, label)]
-        if args.smooth:
-            series.append((angles, smoothed.row(key).values, "smoothed"))
+    def svg():
+        series = [(angles, cut, label)] + [
+            (angles, s.row(key).values, "smoothed") for s in smoothed]
         out = outdir / "beampattern.svg"
         svgplot.line_plot(series, out, title="Reflection pattern",
                           x_label="rotation (deg)", y_label="RSRP (dBm)")
         print(f"svg: wrote {out}")
 
+    return [step for flag, step in (
+        (args.smooth, smooth), (args.hpbw, hpbw), (args.localize, localize),
+        (args.reconstruct, reconstruct), (args.svg, svg)) if flag]
 
-def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> None:
+
+def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> list:
     if args.smooth or args.localize or args.reconstruct:
         raise DomainError(
             "smooth/localize/reconstruct need a beampattern table"
@@ -196,12 +220,13 @@ def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> None:
     order = np.argsort(table.beams[sel, 0])
     azimuths = table.beams[sel, 0][order]
 
+    # every step needs the widths, so a width that fails fails them all
     widths = []
     for j in range(table.active_counts.size):
         widths.append(analysis.hpbw(azimuths, table.power_dbm[sel, j][order]))
     sides = np.sqrt(table.active_counts.astype(float))
 
-    if args.hpbw or args.fit:
+    def hpbw():
         out = outdir / "hpbw.csv"
         _write_csv(out, ["side", "active_count", "hpbw_deg"],
                    [["%g" % s, "%d" % n, "%.6f" % w]
@@ -210,16 +235,16 @@ def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> None:
                                  for n, w in zip(table.active_counts, widths)))
         print(f"hpbw: wrote {out}")
 
-    if args.fit:
-        fit = analysis.fit_exponential(sides, np.asarray(widths))
+    def fit():
+        res = analysis.fit_exponential(sides, np.asarray(widths))
         out = outdir / "fit.csv"
         _write_csv(out, ["a", "b", "c", "residual_norm", "iterations"],
-                   [["%.10g" % fit.a, "%.10g" % fit.b, "%.10g" % fit.c,
-                     "%.10g" % fit.residual_norm, fit.iterations]])
-        print(f"fit: a={fit.a:.4f} b={fit.b:.4f} c={fit.c:.4f} "
-              f"residual={fit.residual_norm:.4g} -> {out}")
+                   [["%.10g" % res.a, "%.10g" % res.b, "%.10g" % res.c,
+                     "%.10g" % res.residual_norm, res.iterations]])
+        print(f"fit: a={res.a:.4f} b={res.b:.4f} c={res.c:.4f} "
+              f"residual={res.residual_norm:.4g} -> {out}")
 
-    if args.svg:
+    def svg():
         out = outdir / "hpbw.svg"
         svgplot.line_plot(
             [(sides, np.asarray(widths), "half-power width")],
@@ -227,6 +252,10 @@ def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> None:
             y_label="HPBW (deg)",
         )
         print(f"svg: wrote {out}")
+
+    return [step for flag, step in (
+        (args.hpbw or args.fit, hpbw), (args.fit, fit), (args.svg, svg))
+        if flag]
 
 
 def _cmd_analyze(args) -> int:
@@ -242,11 +271,9 @@ def _cmd_analyze(args) -> int:
     table = read_table(args.table, mapping)
     outdir = Path(args.out_dir) if args.out_dir else Path(args.table).parent
     outdir.mkdir(parents=True, exist_ok=True)
-    if isinstance(table, BeampatternTable):
-        _analyze_beampattern(args, table, outdir)
-    else:
-        _analyze_absorption(args, table, outdir)
-    return 0
+    plan = (_analyze_beampattern if isinstance(table, BeampatternTable)
+            else _analyze_absorption)
+    return _run_steps(plan(args, table, outdir))
 
 
 def _cmd_train(args) -> int:
@@ -399,8 +426,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:
-        # a bare MemoryError has no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

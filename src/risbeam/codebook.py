@@ -209,12 +209,28 @@ def write_codebook(codebook: Codebook, path) -> None:
                 _fmt_exact(spec.frequency_hz),
                 _fmt_angle(tx.azimuth_deg), _fmt_angle(tx.elevation_deg),
                 codebook.mode, ",".join(map(_fmt_exact, spec.phase_set))))
-    # Codebook validated every index against the phase set, so one string
-    # per phase-set entry covers the body.
-    lut = ["%d" % i for i in range(spec.phase_set.size)]
     _write_rows(path, meta, ["idx_%d" % k for k in range(spec.size)],
-                codebook.beams, lambda r: ",".join(
-                    [lut[i] for i in codebook.indices[r].tolist()]))
+                codebook.beams, _cell_rows(codebook))
+
+
+def _cell_rows(codebook: Codebook):
+    """Text of each row's cells, in beam order, a block of rows at a time.
+
+    Row k of a byte table holds the ASCII of ``"%d," % k``, NUL-padded to
+    the widest entry; Codebook validated every index against the phase set,
+    so one gather over the table spells a whole block.  Each row is then a
+    fixed-width slice without its NULs and its trailing comma.
+    """
+    table = np.array(["%d," % k for k in range(codebook.spec.phase_set.size)],
+                     dtype="S")
+    table = table.view(np.uint8).reshape(table.size, table.itemsize)
+    width = codebook.spec.size * table.shape[1]
+    for rows in _row_blocks(len(codebook), codebook.spec.size):
+        # np.take gathers whole table rows faster than fancy indexing
+        cells = np.take(table, codebook.indices[rows], axis=0)
+        text = cells.tobytes().decode("ascii")
+        for lo in range(0, len(text), width):
+            yield text[lo:lo + width].replace("\0", "")[:-1]
 
 
 def read_codebook(path) -> Codebook:

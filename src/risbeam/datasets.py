@@ -266,16 +266,16 @@ def _header(columns) -> str:
     return "theta_n,phi_n," + ",".join(columns)
 
 
-def _write_rows(path, comment, columns, beams, cell_text) -> None:
+def _write_rows(path, comment, columns, beams, cells) -> None:
     """Write an optional ``# <comment>`` line, the header
     ``theta_n,phi_n,<columns>`` and one ``<az>,<el>,<cells>`` line per beam,
-    where ``cell_text(r)`` is the text of row r's cells."""
+    where `cells` yields the text of each row's cells in beam order."""
     def lines():
         if comment is not None:
             yield "# " + comment
         yield _header(columns)
-        for r, (az, el) in enumerate(beams.tolist()):
-            yield _fmt_angle(az) + "," + _fmt_angle(el) + "," + cell_text(r)
+        for (az, el), text in zip(beams.tolist(), cells):
+            yield _fmt_angle(az) + "," + _fmt_angle(el) + "," + text
 
     _write_lines(path, lines())
 
@@ -322,8 +322,8 @@ def _write_table(table: _Table, path) -> None:
     comment = ("theta_t=%s" % _fmt_angle(table.theta_t_deg)
                if table.has_theta_t else None)
     _write_rows(path, comment, [prefix + _fmt_angle(v) for v in table._labels],
-                table.beams, lambda r: ",".join(
-                    [_fmt_power(p) for p in table.power_dbm[r].tolist()]))
+                table.beams, (",".join([_fmt_power(p) for p in row.tolist()])
+                              for row in table.power_dbm))
 
 
 def _parse_theta_t(path, line: str, key: str) -> float:

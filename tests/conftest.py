@@ -4,8 +4,10 @@ import os
 
 # The exact-equality oracles compare against one whole-matrix BLAS product,
 # whose bits depend on how many threads split it; one thread, as in
-# perfbench, unless the environment says otherwise.  Set before numpy loads.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# perfbench, whether numpy links OpenBLAS, an OpenMP BLAS or MKL, unless the
+# environment says otherwise.  Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

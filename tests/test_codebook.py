@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risbeam import codebook as codebook_module
@@ -36,6 +36,11 @@ from risbeam.codebook import (
 from risbeam.datasets import _fmt_angle
 from risbeam.errors import DomainError, NotFoundError, ParseError
 
+# phase-set sizes around each change of the widest index's digit count,
+# and both sides of the int16 / int32 index types
+DIGIT_BOUNDARIES = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 4096,
+                    2**15, 2**15 + 1]
+
 QUANT_LOSS_FLOOR_DB = 20.0 * math.log10(math.cos(math.pi / 8))
 
 
@@ -53,8 +58,12 @@ def whole_matrix_indices(spec, tx, grid, mode):
     return quantize_phases(raw, spec.phase_set)
 
 
-def percent_d_codebook_text(cb):
-    """Oracle: the codebook file with every index cell formatted by "%d"."""
+def percent_d_codebook_text(cb, cells=None):
+    """Oracle: the codebook file with every index cell formatted by "%d",
+    or with each row's cells spelled by `cells(row)` when given."""
+    if cells is None:
+        def cells(row):
+            return ",".join("%d" % i for i in row)
     spec, tx = cb.spec, cb.tx
     lines = ["# nx=%d ny=%d delta=%.17g frequency_hz=%.17g tx_azimuth=%s"
              " tx_elevation=%s mode=%s phase_set=%s" % (
@@ -64,9 +73,15 @@ def percent_d_codebook_text(cb):
              "theta_n,phi_n," + ",".join("idx_%d" % k
                                          for k in range(spec.size))]
     for (az, el), row in zip(cb.beams, cb.indices):
-        lines.append(_fmt_angle(az) + "," + _fmt_angle(el) + ","
-                     + ",".join("%d" % i for i in row))
+        lines.append(_fmt_angle(az) + "," + _fmt_angle(el) + "," + cells(row))
     return "".join(line + "\n" for line in lines)
+
+
+def lut_cells(phase_count):
+    """Oracle: a row's cells through one string per phase-set entry, as the
+    writer spelled them before it gathered a byte table per block."""
+    lut = ["%d" % i for i in range(phase_count)]
+    return lambda row: ",".join([lut[i] for i in row.tolist()])
 
 
 def int_parse_outcome(text, spec):
@@ -516,6 +531,42 @@ class TestCodebookIo:
         with pytest.raises(DomainError, match=message):
             Codebook(spec, cb.tx, cb.mode,
                      [(0, 0), tuple(map(float, beam.split(",")))], cb.indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(phase_count=st.sampled_from(DIGIT_BOUNDARIES),
+           nx=st.integers(1, 4), ny=st.integers(1, 4),
+           n_az=st.integers(1, 9), n_el=st.integers(1, 5),
+           block_rows=st.integers(1, 8), drawn=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(phase_count=10, nx=2, ny=3, n_az=23, n_el=1, block_rows=5,
+             drawn=True, seed=0)
+    @example(phase_count=2**15 + 1, nx=3, ny=2, n_az=7, n_el=2, block_rows=4,
+             drawn=False, seed=0)
+    def test_block_writer_matches_lut_formatter(self, phase_count, nx, ny,
+                                                n_az, n_el, block_rows,
+                                                drawn, seed):
+        """Every digit width of K, index matrices drawn at random or built,
+        and blocks of `block_rows` rows with a shorter last one: the file
+        has the per-cell formatter's bytes and reads back equal."""
+        spec = ArraySpec(nx, ny, phase_set=uniform_phase_set(phase_count))
+        grid = CodebookGrid(azimuth_deg=(-90, -90 + 3 * (n_az - 1), 3),
+                            elevation_deg=(0, 3 * (n_el - 1), 3))
+        cb = build_codebook(spec, Direction(20, -33), grid)
+        if drawn:
+            rng = np.random.default_rng(seed)
+            indices = rng.integers(0, phase_count, cb.indices.shape)
+            indices.flat[rng.integers(0, indices.size, 2)] = 0, phase_count - 1
+            cb = Codebook(spec, cb.tx, cb.mode, cb.beams, indices)
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(
+                codebook_module, "_BLOCK_ELEMENTS", block_rows * spec.size):
+            p = Path(d) / "cb.csv"
+            write_codebook(cb, p)
+            assert p.read_bytes() == percent_d_codebook_text(
+                cb, lut_cells(phase_count)).encode()
+            back = read_codebook(p)
+        assert back.indices.dtype == cb.indices.dtype
+        np.testing.assert_array_equal(back.indices, cb.indices)
+        np.testing.assert_array_equal(back.beams, cb.beams)
 
     def test_int32_phase_set_reads_back_equal(self, tmp_path):
         spec = ArraySpec(3, 2, phase_set=uniform_phase_set(2**15 + 1))

@@ -443,6 +443,36 @@ class TestAnalyzeCommand:
                      "--out-dir", str(tmp_path)]) == 1
         assert "truncated" in capsys.readouterr().err
 
+    def test_failing_step_keeps_the_others(self, tmp_path, capsys):
+        p = tmp_path / "mono.csv"
+        p.write_text("theta_n,phi_n," +
+                     ",".join("rot_%d" % r for r in range(0, 30, 3)) + "\n" +
+                     "0,0," + ",".join("%d" % (-80 + i) for i in range(10)) +
+                     "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(p), "--smooth", "--hpbw", "--localize",
+                     "--svg", "--sg-window", "3", "--sg-order", "1",
+                     "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: hpbw: lobe truncated")
+        assert captured.err.count("\n") == 1
+        assert [line.split(":")[0] for line in captured.out.splitlines()] \
+            == ["smooth", "localize", "svg"]
+        assert sorted(f.name for f in out.iterdir()) == [
+            "beampattern.svg", "localization.csv", "smoothed.csv"]
+
+    def test_every_failing_step_is_reported(self, slice_absorption_csv,
+                                            tmp_path, capsys):
+        (tmp_path / "hpbw.csv").mkdir()  # neither file can be written
+        (tmp_path / "fit.csv").mkdir()
+        assert main(["analyze", str(slice_absorption_csv), "--hpbw", "--fit",
+                     "--svg", "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert [line.split(":")[:2] for line in captured.err.splitlines()] \
+            == [["error", " hpbw"], ["error", " fit"]]
+        assert captured.out.startswith("svg: wrote")
+        assert (tmp_path / "hpbw.svg").exists()
+
     def test_missing_table_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.csv"), "--hpbw"]) == 1
 
