@@ -53,6 +53,10 @@ def main(argv=None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out / "model.txt")
+    if len(losses) < 2:  # a curve needs two points
+        print(f"wrote {args.out}/model.txt; no loss curve for "
+              f"{len(losses)} epoch(s)")
+        return 0
     epochs = np.arange(1, len(losses) + 1, dtype=float)
     line_plot([(epochs, np.log10(np.asarray(losses)), "training loss")],
               args.out / "loss_curve.svg",

@@ -94,7 +94,7 @@ def _read_values(path) -> dict[str, dict[str, object]]:
         return values
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:

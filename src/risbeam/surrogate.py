@@ -7,14 +7,14 @@ Training is bit-reproducible for a fixed (records, specs, seed) triple.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import nmse
-from .datasets import BeampatternTable, _fmt_exact, _write_lines
+from .datasets import BeampatternTable, _fmt_exact, _read_lines, _write_lines
 from .errors import DomainError, ModelFormatError
 
 __all__ = [
@@ -39,27 +39,27 @@ _ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MlpSpec:
+    """tanh hidden layers of one width, then one linear output."""
+
     hidden_layers: int = 3
     hidden_width: int = 16
     input_dim: int = 3
-    output_dim: int = 1
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise DomainError("input_dim and output_dim must be >= 1")
-        if self.activation != "tanh":
-            raise DomainError(f"unsupported activation {self.activation!r}")
+        if self.input_dim < 1:
+            raise DomainError("input_dim must be >= 1")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
-        dims = (
-            [self.input_dim]
-            + [self.hidden_width] * self.hidden_layers
-            + [self.output_dim]
-        )
-        return list(zip(dims[:-1], dims[1:]))
+        return list(_shapes(self))
+
+
+def _shapes(spec: MlpSpec):
+    """(fan_in, fan_out) per layer, lazily: a spec read from a file may
+    declare more layers than memory holds."""
+    hidden = itertools.repeat(spec.hidden_width, spec.hidden_layers)
+    return itertools.pairwise(itertools.chain([spec.input_dim], hidden, [1]))
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,13 @@ class MlpModel:
         return 2.0 * (raw - self.input_lo) / span - 1.0
 
     def forward(self, normalized: np.ndarray) -> np.ndarray:
-        h = normalized
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < last:
-                h = np.tanh(h)
-        return h
+        # hidden layers take turns in two buffers, so memory does not grow
+        # with depth; the head has its own
+        rows, hidden = normalized.shape[0], self.spec.hidden_layers
+        width = self.spec.hidden_width
+        pair = [np.empty((rows, width)) for _ in range(min(hidden, 2))]
+        outputs = [pair[i % 2] for i in range(hidden)] + [np.empty((rows, 1))]
+        return _forward(self.weights, self.biases, normalized, outputs)
 
     def predict(self, beam_azimuth_deg, beam_elevation_deg, rotation_deg) -> float:
         raw = np.array(
@@ -210,6 +210,20 @@ def _init_params(
     return flat
 
 
+def _forward(weights, biases, x: np.ndarray, outputs) -> np.ndarray:
+    """Run the network on `x`, layer i writing into outputs[i] (tanh on the
+    hidden layers, linear head); returns outputs[-1]."""
+    last = len(weights) - 1
+    h = x
+    for i, (w, b, z) in enumerate(zip(weights, biases, outputs)):
+        np.matmul(h, w, out=z)
+        z += b
+        if i < last:
+            np.tanh(z, out=z)
+        h = z
+    return h
+
+
 class _Backprop:
     """Preallocated buffers for one backprop over batches of `rows` records.
 
@@ -236,18 +250,12 @@ class _Backprop:
         """
         weights, outputs, deltas = self.weights, self.outputs, self.deltas
         last = len(weights) - 1
-        h = x
-        for i, (w, b, z) in enumerate(zip(weights, self.biases, outputs)):
-            np.matmul(h, w, out=z)
-            z += b
-            if i < last:
-                np.tanh(z, out=z)
-            h = z
-        # d loss / d out; the mean runs over every output entry.
+        out = _forward(weights, self.biases, x, outputs)
+        # d loss / d out; the mean runs over every row.
         delta = deltas[last]
-        np.subtract(h, y, out=delta)
+        np.subtract(out, y, out=delta)
         delta *= 2.0
-        delta /= x.shape[0] * y.shape[1]
+        delta /= x.shape[0]
         for i in range(last, -1, -1):
             np.matmul(x.T if i == 0 else outputs[i - 1].T, delta,
                       out=self.grad_w[i])
@@ -406,7 +414,7 @@ def gradient_check(
     for b in _layer_views(params, mlp_spec)[1]:
         b += rng.uniform(-0.1, 0.1, size=b.shape)
     x = rng.uniform(-1.0, 1.0, size=(batch_size, mlp_spec.input_dim))
-    y = rng.uniform(-1.0, 1.0, size=(batch_size, mlp_spec.output_dim))
+    y = rng.uniform(-1.0, 1.0, size=(batch_size, 1))
 
     _, grad = _gradients(params, mlp_spec, x, y)
     if flip_sign:
@@ -427,108 +435,81 @@ def gradient_check(
     return worst
 
 
-def _format_vector(values: np.ndarray) -> str:
-    return " ".join(map(_fmt_exact, np.asarray(values, dtype=float).reshape(-1)))
+def _layout(spec: MlpSpec):
+    """(line prefix, value count) of every model-file line after the spec
+    line: the normalization constants, then per layer its header, one ``w``
+    line per weight row and the ``b`` line.  The values, in file order, are
+    input_lo, input_hi, target_mean, target_std and the flat parameter
+    vector.  Lazy, so a spec asking for more lines than a file has fails
+    when the file runs out."""
+    yield "input_lo", spec.input_dim
+    yield "input_hi", spec.input_dim
+    yield "target_mean", 1
+    yield "target_std", 1
+    for i, (fan_in, fan_out) in enumerate(_shapes(spec)):
+        yield f"layer {i} {fan_in} {fan_out}", 0
+        for _ in range(fan_in):
+            yield "w", fan_out
+        yield "b", fan_out
 
 
 def save_model(model: MlpModel, path) -> None:
     """Versioned text serialization; identical models produce identical bytes."""
     spec = model.spec
-    lines = [
-        _MODEL_MAGIC,
-        f"spec {spec.hidden_layers} {spec.hidden_width} "
-        f"{spec.input_dim} {spec.output_dim} {spec.activation}",
-        "input_lo " + _format_vector(model.input_lo),
-        "input_hi " + _format_vector(model.input_hi),
-        "target_mean " + _format_vector(np.array([model.target_mean])),
-        "target_std " + _format_vector(np.array([model.target_std])),
-    ]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append("w " + _format_vector(row))
-        lines.append("b " + _format_vector(b))
+    values = np.concatenate(
+        [model.input_lo, model.input_hi, [model.target_mean, model.target_std]]
+        + [a.reshape(-1) for w, b in zip(model.weights, model.biases) for a in (w, b)])
+    text = map(_fmt_exact, values.tolist())
+    lines = [_MODEL_MAGIC, f"spec {spec.hidden_layers} {spec.hidden_width} "
+                           f"{spec.input_dim} 1 tanh"]
+    lines += (" ".join([prefix, *itertools.islice(text, count)])
+              for prefix, count in _layout(spec))
     _write_lines(path, lines)
 
 
-def _parse_floats(body: str, count: int, where: str) -> np.ndarray:
-    parts = body.split()
-    if len(parts) != count:
-        raise ModelFormatError(f"{where}: expected {count} values, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from exc
-
-
 def load_model(path) -> MlpModel:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = _read_lines(path, ModelFormatError)
     if not lines or lines[0] != _MODEL_MAGIC:
         raise ModelFormatError(
             f"not a recognized model file (expected first line {_MODEL_MAGIC!r})"
         )
-    if len(lines) < 6 or not lines[1].startswith("spec "):
+    if len(lines) < 2 or not lines[1].startswith("spec "):
         raise ModelFormatError("missing spec line")
-    spec_parts = lines[1].split()
-    if len(spec_parts) != 6:
-        raise ModelFormatError(f"spec line has {len(spec_parts)} fields, want 6")
+    parts = lines[1].split()
+    if len(parts) != 6:
+        raise ModelFormatError(f"spec line has {len(parts)} fields, want 6")
     try:
-        spec = MlpSpec(
-            hidden_layers=int(spec_parts[1]),
-            hidden_width=int(spec_parts[2]),
-            input_dim=int(spec_parts[3]),
-            output_dim=int(spec_parts[4]),
-            activation=spec_parts[5],
-        )
+        spec = MlpSpec(*map(int, parts[1:4]))
+        head = int(parts[4]), parts[5]
     except (ValueError, DomainError) as exc:
         raise ModelFormatError(f"bad spec line: {exc}") from exc
+    if head != (1, "tanh"):
+        raise ModelFormatError(f"bad spec line {lines[1]!r}: the network has "
+                               "tanh hidden layers and one output ('1 tanh')")
 
-    # checked before layer_shapes: the spec alone could ask for any memory
-    needed = 8 + spec.input_dim + spec.hidden_layers * (spec.hidden_width + 2)
-    if needed > len(lines):
-        raise ModelFormatError(
-            f"spec line asks for {needed} lines, the file has {len(lines)}")
-
-    def expect(index: int, prefix: str) -> str:
-        if index >= len(lines) or not lines[index].startswith(prefix + " "):
-            raise ModelFormatError(f"line {index + 1}: expected {prefix!r}")
-        return lines[index][len(prefix) + 1 :]
-
-    lo = _parse_floats(expect(2, "input_lo"), spec.input_dim, "input_lo")
-    hi = _parse_floats(expect(3, "input_hi"), spec.input_dim, "input_hi")
-    mean = float(_parse_floats(expect(4, "target_mean"), 1, "target_mean")[0])
-    std = float(_parse_floats(expect(5, "target_std"), 1, "target_std")[0])
-
-    weights, biases = [], []
-    cursor = 6
-    for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
-        header = expect(cursor, "layer")
-        if header.split() != [str(i), str(fan_in), str(fan_out)]:
+    values: list[float] = []
+    index = 2
+    for prefix, count in _layout(spec):
+        # the prefix's first word and a space, then whitespace-separated
+        # fields: the rest of the prefix, then `count` numbers
+        name, *tags = prefix.split(" ")
+        line = lines[index] if index < len(lines) else ""
+        fields = line[len(name) + 1 :].split()
+        if (not line.startswith(name + " ") or fields[: len(tags)] != tags
+                or len(fields) != len(tags) + count):
             raise ModelFormatError(
-                f"line {cursor + 1}: expected 'layer {i} {fan_in} {fan_out}'"
-            )
-        cursor += 1
-        rows = []
-        for _ in range(fan_in):
-            rows.append(_parse_floats(expect(cursor, "w"), fan_out, f"layer {i} w"))
-            cursor += 1
-        weights.append(np.vstack(rows))
-        biases.append(_parse_floats(expect(cursor, "b"), fan_out, f"layer {i} b"))
-        cursor += 1
-    if any(line.strip() for line in lines[cursor:]):
-        raise ModelFormatError(f"line {cursor + 1}: trailing content after last layer")
+                f"line {index + 1}: expected {prefix!r} and {count} values")
+        try:
+            values.extend(map(float, fields[len(tags) :]))
+        except ValueError as exc:
+            raise ModelFormatError(f"line {index + 1}: {exc}") from None
+        index += 1
+    if any(line.strip() for line in lines[index:]):
+        raise ModelFormatError(f"line {index + 1}: trailing content after last layer")
+
+    flat, n = np.array(values), spec.input_dim
     try:
-        return MlpModel(
-            spec=spec,
-            weights=weights,
-            biases=biases,
-            input_lo=lo,
-            input_hi=hi,
-            target_mean=mean,
-            target_std=std,
-        )
+        return MlpModel(spec, *_layer_views(flat[2 * n + 2 :], spec), flat[:n],
+                        flat[n : 2 * n], float(flat[2 * n]), float(flat[2 * n + 1]))
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from exc

@@ -748,6 +748,26 @@ def test_non_utf8_input_exits_cleanly(argv, code, tmp_path, capsys):
     assert "utf-8" in err.lower() and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text, out", [
+    pytest.param(["analyze", "{path}", "--hpbw", "--out-dir", "{out}"],
+                 "theta_n,phi_n,rot_-3,rot_0,rot_3\n"
+                 "0,0,-70,-60,-70\n3,0,-75,-72,-74\n", "hpbw.csv", id="table"),
+    pytest.param(["codebook", "--config", "{path}", "--out", "{out}/cb.csv"],
+                 SMALL_CAMPAIGN, "cb.csv", id="ini"),
+])
+def test_byte_order_mark_is_dropped(argv, text, out, tmp_path, capsys):
+    written = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        d = tmp_path / name
+        d.mkdir()
+        p = d / "input"
+        p.write_text(bom + text, encoding="utf-8")
+        assert main([a.format(path=p, out=d) for a in argv]) == 0
+        written.append((d / out).read_bytes())
+    assert written[0] == written[1]
+    assert not written[0].startswith("\ufeff".encode())  # none is written
+
+
 # the nine integer-degree keys, which _axis_values turns into grid axes
 DEGREE_KEYS = [("geometry", f"rotation_{part}_deg") for part in
                ("min", "max", "step")] + [

@@ -93,10 +93,11 @@ def test_valid_mapping_reads():
     assert _mapping_outcome(MAPPING_TEXT.encode()) == MAPPING
 
 
-@pytest.mark.parametrize("text, mapping, rotations", [
-    # a UTF-8 BOM is not stripped, so the first column name does not match
-    pytest.param("\ufeff" + BEAMPATTERN, None, None, id="bom"),
-    pytest.param("\ufeff" + ABSORPTION, None, None, id="bom-absorption"),
+@pytest.mark.parametrize("text, mapping, expected", [
+    # a UTF-8 byte-order mark is dropped: the table of the text without it
+    pytest.param("\ufeff" + BEAMPATTERN, None, BEAMPATTERN, id="bom"),
+    pytest.param("\ufeff" + ABSORPTION, None, ABSORPTION,
+                 id="bom-absorption"),
     # float() reads rot_1_0 as 10, as the cells' conversion reads 1_0
     pytest.param(BEAMPATTERN.replace("rot_6", "rot_1_0"), None,
                  [-6.0, 0.0, 10.0], id="rot_1_0"),
@@ -111,12 +112,17 @@ def test_valid_mapping_reads():
     pytest.param(ABSORPTION.replace("n_100", "n_" + "9" * 30), None, None,
                  id="count-past-int64"),
 ])
-def test_seed_inputs(text, mapping, rotations):
+def test_seed_inputs(text, mapping, expected):
+    """`expected` is None (refused), the rotations read, or the text whose
+    table is read."""
     table = _read_outcome(text.encode(), mapping)
-    if rotations is None:
+    if expected is None:
         assert table is None
+    elif isinstance(expected, str):
+        assert table is not None
+        assert table == _read_outcome(expected.encode(), mapping)
     else:
-        assert table.rotations.tolist() == rotations
+        assert table.rotations.tolist() == expected
 
 
 @pytest.mark.parametrize("mapping", [None, MAPPING], ids=["plain", "mapped"])

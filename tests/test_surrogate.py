@@ -1,5 +1,7 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +51,7 @@ class TestSpecs:
         with pytest.raises(DomainError):
             MlpSpec(hidden_width=0)
         with pytest.raises(DomainError):
-            MlpSpec(activation="relu")
+            MlpSpec(input_dim=0)
 
     def test_train_spec_validation(self):
         with pytest.raises(DomainError):
@@ -178,7 +180,7 @@ class TestGradients:
         params = _init_params(spec, rng, zero_head=False)
         params += rng.uniform(-0.1, 0.1, size=params.shape)
         x = rng.uniform(-1.0, 1.0, size=(rows, spec.input_dim))
-        y = rng.uniform(-1.0, 1.0, size=(rows, spec.output_dim))
+        y = rng.uniform(-1.0, 1.0, size=(rows, 1))
         weights, biases = _layer_views(params.copy(), spec)
         ref_loss, ref_w, ref_b = reference_gradients(weights, biases, x, y)
         loss, grad = _gradients(params, spec, x, y)
@@ -528,6 +530,61 @@ class TestModelIo:
         p.write_text(text)
         with pytest.raises(ModelFormatError, match="spec"):
             load_model(p)
+
+    def test_byte_order_mark_dropped(self, model, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(model, p)
+        p.write_bytes("\ufeff".encode() + p.read_bytes())
+        assert flat_params(load_model(p)).tobytes() == \
+            flat_params(model).tobytes()
+
+    def test_two_output_file_rejected(self, tmp_path):
+        # self-consistent layer lines for two outputs: only the spec line's
+        # output count is wrong, as the network has one output
+        p = tmp_path / "model.txt"
+        p.write_text("risbeam-mlp v1\nspec 1 2 3 2 tanh\n"
+                     "input_lo 0 0 0\ninput_hi 1 1 1\n"
+                     "target_mean 0\ntarget_std 1\n"
+                     "layer 0 3 2\nw 0.1 0.2\nw 0.3 0.4\nw 0.5 0.6\nb 0 0\n"
+                     "layer 1 2 2\nw 1 0\nw 0 1\nb 0 0\n")
+        with pytest.raises(ModelFormatError, match="1 tanh"):
+            load_model(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.integers(1, 3), width=st.integers(1, 4),
+           inputs=st.integers(1, 3), data=st.data())
+    def test_layout_round_trip(self, layers, width, inputs, data):
+        spec = MlpSpec(hidden_layers=layers, hidden_width=width,
+                       input_dim=inputs)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        size = sum((fan_in + 1) * fan_out
+                   for fan_in, fan_out in spec.layer_shapes())
+        params = np.array(data.draw(st.lists(finite, min_size=size,
+                                             max_size=size)))
+        lo, hi = (np.array(data.draw(st.lists(finite, min_size=inputs,
+                                              max_size=inputs)))
+                  for _ in range(2))
+        std = data.draw(st.floats(min_value=0.0, exclude_min=True,
+                                  allow_infinity=False))
+        model = MlpModel(spec, *_layer_views(params, spec), lo, hi,
+                         data.draw(finite), std)
+        with tempfile.TemporaryDirectory() as d:
+            p1, p2 = Path(d) / "a.txt", Path(d) / "b.txt"
+            save_model(model, p1)
+            back = load_model(p1)
+            save_model(back, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            # the closed-form line count, an oracle independent of _layout
+            assert (len(p1.read_text().splitlines())
+                    == 8 + inputs + layers * (width + 2))
+        assert back.spec == spec
+        assert flat_params(back).tobytes() == params.tobytes()
+        assert back.input_lo.tobytes() == lo.tobytes()
+        assert back.input_hi.tobytes() == hi.tobytes()
+        assert (np.array([back.target_mean, back.target_std]).tobytes()
+                == np.array([model.target_mean, std]).tobytes())
+        # the loaded weights and biases are views of one vector
+        assert len({id(a.base) for a in (*back.weights, *back.biases)}) == 1
 
 
 def test_model_shape_validation():
