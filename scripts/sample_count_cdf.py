@@ -33,7 +33,6 @@ def main(argv=None) -> int:
     study = sample_count_study(args.true_dbm, args.sigma, counts,
                                trials=args.trials, seed=args.seed)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     series = []
     lines = ["count,relative_error,cumulative_fraction"]
     for count in counts:

@@ -51,7 +51,6 @@ def main(argv=None) -> int:
     print(f"trained {args.epochs} epochs in {wall:.1f}s")
     print(f"train NMSE {train_nmse:.6f}  val NMSE {val_nmse:.6f}")
 
-    args.out.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out / "model.txt")
     if len(losses) < 2:  # a curve needs two points
         print(f"wrote {args.out}/model.txt; no loss curve for "

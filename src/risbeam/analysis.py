@@ -36,6 +36,9 @@ __all__ = [
 # rather than the textbook -3.
 HALF_POWER_DB = 10.0 * math.log10(0.5)
 
+# Largest error a smoothing spec may show on a constant series.
+_SG_CONSTANT_TOL = 1e-9
+
 
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -86,28 +89,9 @@ def _interior_weights(window: int, order: int) -> np.ndarray:
     return v @ np.linalg.solve(gram, first_basis)
 
 
-def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
-    """Least-squares polynomial smoothing with one-sided edge windows.
-
-    `values` is one series or a (rows, n) table; a table is smoothed along
-    its last axis, each row independently, and comes back with its shape.
-    Interior points get the classic centered fit. The first and last
-    half-window points are fitted on the truncated window that remains
-    inside the series (no mirror padding), so polynomials up to `order`
-    pass through unchanged everywhere, edges included. Each edge position
-    is one least-squares solve for all rows at once.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim not in (1, 2):
-        raise DomainError(f"values must be 1-d or 2-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("values contains non-finite values")
-    n = v.shape[-1]
-    if n < spec.window:
-        raise DomainError(
-            f"series of length {n} shorter than window {spec.window}"
-        )
-    table = v.reshape(-1, n)
+def _smooth(table: np.ndarray, spec: SgFilterSpec) -> np.ndarray:
+    """savitzky_golay on a (rows, n) table, n >= window, without checks."""
+    n = table.shape[1]
     half = spec.window // 2
     out = np.empty_like(table)
     weights = _interior_weights(spec.window, spec.order)
@@ -122,7 +106,58 @@ def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
         start = i - half
         out[:, i] = _fit_eval(positions[start:], table[:, start:], spec.order,
                               float(i))
-    return out.reshape(v.shape)
+    return out
+
+
+def _check_fits(spec: SgFilterSpec) -> None:
+    """Refuse a spec whose fits do not return a constant series.
+
+    High orders make the fits' normal equations too ill-conditioned for
+    float64: (13, 10) is off by 1.8e-9, (25, 16) by 1.0.  Each position's
+    fit depends on the window and order only, so one series of `window`
+    points covers every position of any series.  When window**(2*order)
+    overflows a float, the solves are not tried: LAPACK would print a
+    warning about the infinite entries.
+    """
+    error = np.inf
+    if 2 * spec.order * math.log2(spec.window) < 1024:
+        ones = np.ones((1, spec.window))
+        with np.errstate(all="ignore"):
+            try:
+                error = np.abs(_smooth(ones, spec) - ones).max()
+            except np.linalg.LinAlgError:
+                pass
+    if not error <= _SG_CONSTANT_TOL:
+        raise DomainError(
+            f"order {spec.order} is too high for window {spec.window}: its "
+            f"fits do not return a constant series to within "
+            f"{_SG_CONSTANT_TOL:g}")
+
+
+def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
+    """Least-squares polynomial smoothing with one-sided edge windows.
+
+    `values` is one series or a (rows, n) table; a table is smoothed along
+    its last axis, each row independently, and comes back with its shape.
+    Interior points get the classic centered fit. The first and last
+    half-window points are fitted on the truncated window that remains
+    inside the series (no mirror padding), so polynomials up to `order`
+    pass through unchanged everywhere, edges included. Each edge position
+    is one least-squares solve for all rows at once.  A spec whose fits do
+    not return a constant series to within 1e-9 raises DomainError.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DomainError(f"values must be 1-d or 2-d, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("values contains non-finite values")
+    n = v.shape[-1]
+    if n < spec.window:
+        raise DomainError(
+            f"series of length {n} shorter than window {spec.window}"
+        )
+    _check_fits(spec)
+    return _smooth(v.reshape(-1, n), spec).reshape(v.shape)
 
 
 def hpbw(angles_deg, power_dbm) -> float:

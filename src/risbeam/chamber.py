@@ -151,10 +151,21 @@ def _noise_means(shape: tuple, budget: LinkBudget, seed: int) -> np.ndarray:
 
 def _check_sweep(spec: ArraySpec, codebook: Codebook,
                  geometry: ChamberGeometry, seed) -> int:
-    """Input checks shared by the sweeps; returns the validated seed."""
+    """Input checks shared by the sweeps; returns the validated seed.
+
+    The codebook must come from an array of the same layout, pitch and phase
+    set; its mask may differ, as absorption sweeps mask the array."""
     seed = _check_seed(seed)
-    if codebook.spec.size != spec.size:
-        raise DomainError("codebook was built for a different array size")
+    built = codebook.spec
+    if (built.nx, built.ny) != (spec.nx, spec.ny):
+        raise DomainError(
+            f"codebook was built for a different array size ({built.nx}x"
+            f"{built.ny}, not {spec.nx}x{spec.ny})")
+    if built.delta != spec.delta:
+        raise DomainError(f"codebook was built for element pitch "
+                          f"{built.delta:g}, not {spec.delta:g}")
+    if not np.array_equal(built.phase_set, spec.phase_set):
+        raise DomainError("codebook was built for a different phase set")
     if codebook.tx != geometry.tx_dir:
         raise DomainError(
             f"codebook tx {codebook.tx} does not match chamber tx "

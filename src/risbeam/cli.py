@@ -27,28 +27,11 @@ from .datasets import (
     write_absorption,
     write_beampattern,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitDivergenceError,
-    LobeTruncatedError,
-    ModelFormatError,
-    NotFoundError,
-    ParseError,
-)
+from .errors import ConfigError, DomainError, NotFoundError, RisbeamError
 
 __all__ = ["main"]
 
-_RUNTIME_ERRORS = (
-    DomainError,
-    ParseError,
-    NotFoundError,
-    LobeTruncatedError,
-    FitDivergenceError,
-    ModelFormatError,
-    OSError,
-    MemoryError,
-)
+_RUNTIME_ERRORS = (RisbeamError, OSError, MemoryError)
 
 
 def _message(exc: Exception) -> str:
@@ -57,7 +40,6 @@ def _message(exc: Exception) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_lines(path, (",".join(str(v) for v in line)
                         for line in [header, *rows]))
 
@@ -73,7 +55,6 @@ def _cmd_codebook(args) -> int:
     codebook = build_codebook(config.array, config.geometry.tx_dir, config.grid,
                               config.mode)
     path = _out_path(config, args.out, "codebook.csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_codebook(codebook, path)
     print(f"{len(codebook)} entries")
     print(f"wrote {path}")
@@ -90,7 +71,6 @@ def _cmd_simulate(args) -> int:
     table = sweep(config.array, codebook, config.geometry, config.budget,
                   seed=config.seed)
     path = _out_path(config, args.out, f"{args.dataset}.csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
     write(table, path)
     shape = table.power_dbm.shape
     print(f"{shape[0]} rows x {shape[1]} columns")
@@ -122,8 +102,10 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _parse_beam(text: str) -> Direction:
-    return Direction(*_parse_point(text, "AZ,EL"))
+def _parse_beam(text: str) -> tuple:
+    point = _parse_point(text, "AZ,EL")
+    Direction(*point)  # the angle range check
+    return point
 
 
 def _run_steps(steps) -> int:
@@ -145,12 +127,11 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
         raise DomainError("--fit needs an absorption table "
                           "(half-power width vs subarray side)")
     sg = analysis.SgFilterSpec(window=args.sg_window, order=args.sg_order)
-    beam = args.beam
-    if beam is None:  # strongest row
-        beam = Direction(*table.beams[np.argmax(table.power_dbm.max(axis=1))])
-    key = (beam.azimuth_deg, beam.elevation_deg)
+    # the strongest row by default, keyed by the table's own labels
+    key = args.beam or tuple(
+        table.beams[np.argmax(table.power_dbm.max(axis=1))].tolist())
     angles, cut = table.row(key)
-    label = f"beam ({beam.azimuth_deg:g}, {beam.elevation_deg:g})"
+    label = "beam (%g, %g)" % key
     smoothed = []  # the smoothed table, once that step has worked
 
     def smooth():
@@ -166,8 +147,7 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
         width = analysis.hpbw(angles, cut)
         out = outdir / "hpbw.csv"
         _write_csv(out, ["beam_azimuth_deg", "beam_elevation_deg", "hpbw_deg"],
-                   [["%g" % beam.azimuth_deg, "%g" % beam.elevation_deg,
-                     "%.6f" % width]])
+                   [["%g" % key[0], "%g" % key[1], "%.6f" % width]])
         print(f"hpbw: {width:.4f} deg for {label} -> {out}")
 
     def localize():
@@ -278,10 +258,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_train(args) -> int:
     mapping = load_column_mapping(args.mapping) if args.mapping else None
-    table = read_table(args.table, mapping)
-    if not isinstance(table, BeampatternTable):
-        raise DomainError("training expects a beampattern table")
-    records = surrogate.flatten_table(table)
+    records = surrogate.flatten_table(read_table(args.table, mapping))
     train_spec = surrogate.TrainSpec(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -293,7 +270,6 @@ def _cmd_train(args) -> int:
         records, surrogate.MlpSpec(), train_spec
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     surrogate.save_model(model, out)
     print(f"train NMSE {train_nmse * 100:.4f}%  val NMSE {val_nmse * 100:.4f}%")
     print(f"wrote {out}")
@@ -326,8 +302,6 @@ def _cmd_predict(args) -> int:
     table = None
     if args.table:
         table = read_table(args.table)
-        if not isinstance(table, BeampatternTable):
-            raise DomainError("predictions need beampattern-style inputs")
         inputs = np.concatenate([at, surrogate.flatten_table(table)[:, :3]])
     if not inputs.shape[0]:
         print("predict: give --at AZ,EL,ROT (repeatable) and/or --table",
@@ -336,7 +310,6 @@ def _cmd_predict(args) -> int:
     predictions = model.predict_batch(inputs)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         _write_lines(out, itertools.chain(
             ["theta_n,phi_n,theta_r,rsrp_dbm_pred"],
             _prediction_lines(at, table, predictions, "%s%s,%.6f")))

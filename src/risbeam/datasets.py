@@ -67,11 +67,14 @@ def _read_lines(path, error=ParseError) -> list:
 def _write_lines(path, lines) -> None:
     """Write `lines` (strings without their newline) as UTF-8 text.
 
-    The lines stream into a temp file in the same directory that then
-    replaces `path`, so an interrupted write leaves the old file intact and
-    the whole text is never held in memory at once.
+    A missing parent directory is created first.  The lines stream into a
+    temp file in the same directory that then replaces `path`, so an
+    interrupted write leaves the old file intact and the whole text is
+    never held in memory at once.
     """
-    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             for line in lines:

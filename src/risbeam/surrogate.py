@@ -153,6 +153,9 @@ class MlpModel:
 
 def flatten_table(table: BeampatternTable) -> np.ndarray:
     """Table cells as (beam az, beam el, rotation, power) records, row-major."""
+    if not isinstance(table, BeampatternTable):
+        raise DomainError("surrogate records need a beampattern table, got "
+                          f"{type(table).__name__}")
     rows, cols = table.power_dbm.shape
     az = np.repeat(table.beams[:, 0], cols)
     el = np.repeat(table.beams[:, 1], cols)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ class TestSavitzkyGolay:
         v = 2 * i ** 2 - i
         out = savitzky_golay(v, SgFilterSpec(window=11, order=2))
         np.testing.assert_allclose(out, v, atol=1e-8)
+
+    @pytest.mark.parametrize("window, order", [
+        (13, 10), (25, 16), (181, 100), (181, 179), (1001, 999)])
+    def test_unfittable_spec_refused(self, window, order, capfd):
+        """Fits that cannot return a constant series are refused with no
+        warning and no LAPACK message, even where window**(2*order)
+        overflows."""
+        spec = SgFilterSpec(window=window, order=order)  # built without a fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too high for window"):
+                savitzky_golay(np.ones((2, window)), spec)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("window, order", [(11, 8), (9, 8), (3, 2)])
+    def test_highest_fittable_orders_accepted(self, window, order):
+        v = np.full(window + 4, -61.25)
+        np.testing.assert_allclose(
+            savitzky_golay(v, SgFilterSpec(window=window, order=order)), v,
+            rtol=0, atol=1e-9 * 61.25)
 
 
 class TestHpbw:

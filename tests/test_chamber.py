@@ -44,6 +44,8 @@ from risbeam.errors import DomainError, NotFoundError
 # measurement in the default budget lands exactly here
 PEAK_DBM = 10.0 * math.log10(10.0 ** -6.0 + 10.0 ** -9.0)
 
+ONE_BEAM = CodebookGrid(azimuth_deg=(0, 0, 3), elevation_deg=(-3, -3, 3))
+
 
 def per_cell_noise_means(shape, budget, seed):
     """Oracle: a fresh Generator per cell at its counter [0, 0, row, col]."""
@@ -252,6 +254,26 @@ class TestSweepBeampattern:
         with pytest.raises(DomainError, match="different array size"):
             sweep_beampattern(ArraySpec(10, 10), cb, default_geometry,
                               quiet_budget)
+
+    @pytest.mark.parametrize("built, match", [
+        (ArraySpec(4, 16), "different array size"),
+        (ArraySpec(8, 8, delta=0.25), "element pitch 0.25"),
+        (ArraySpec(8, 8, phase_set=uniform_phase_set(4)), "phase set"),
+    ], ids=["layout", "delta", "phase-set"])
+    @pytest.mark.parametrize("sweep", [sweep_beampattern, sweep_absorption])
+    def test_codebook_for_another_array_rejected(
+            self, built, match, sweep, default_geometry, quiet_budget):
+        cb = build_codebook(built, default_geometry.tx_dir, ONE_BEAM)
+        with pytest.raises(DomainError, match=match):
+            sweep(ArraySpec(8, 8), cb, default_geometry, quiet_budget)
+
+    def test_codebook_for_another_mask_accepted(self, default_geometry,
+                                                quiet_budget):
+        spec = ArraySpec(8, 8)
+        cb = build_codebook(spec, default_geometry.tx_dir, ONE_BEAM)
+        masked = spec.with_mask(np.arange(spec.size) % 2 == 0)
+        table = sweep_beampattern(masked, cb, default_geometry, quiet_budget)
+        assert table.power_dbm.shape[0] == 1
 
     def test_codebook_tx_mismatch_rejected(self, default_spec,
                                            default_geometry, quiet_budget):

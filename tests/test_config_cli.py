@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from risbeam.analysis import SgFilterSpec
 from risbeam.array_model import ArraySpec
 from risbeam.chamber import ChamberGeometry, LinkBudget
-from risbeam import cli
+from risbeam import cli, errors
 from risbeam.cli import _build_parser, main
 from risbeam.codebook import CodebookGrid, MODE_UNCOMPENSATED, read_codebook
 from risbeam.config import (
@@ -852,3 +853,73 @@ def test_unwritable_table_labels_exit_1(text, flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def _error_classes():
+    return [c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, BaseException)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_cleanly(cls, monkeypatch, capsys):
+    """main needs no list of the error classes: each one is a RisbeamError,
+    exits 1 (2 for ConfigError) and prints one line."""
+    assert issubclass(cls, errors.RisbeamError)
+
+    def fail(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "load_campaign_config", fail)
+    assert main(["codebook"]) == (2 if cls is ConfigError else 1)
+    err = capsys.readouterr().err
+    assert err.endswith(": boom\n") and err.count("\n") == 1
+
+
+def test_strongest_beam_outside_steering_range(default_beampattern_csv,
+                                               tmp_path, capsys):
+    """The default beam is keyed by the table's own labels, so a strongest
+    row labelled (120, 0) is analyzed, and localize needs no beam at all."""
+    table = read_beampattern(default_beampattern_csv)
+    beams = table.beams.copy()
+    beams[np.argmax(table.power_dbm.max(axis=1))] = (120.0, 0.0)
+    path = tmp_path / "bp120.csv"
+    write_beampattern(BeampatternTable(beams, table.rotations,
+                                       table.power_dbm, table.theta_t_deg),
+                      path)
+    assert main(["analyze", str(path), "--localize", "--reconstruct",
+                 "--tilt", "-3", "--out-dir", str(tmp_path / "out")]) == 0
+    assert "beam (120, 0)" not in capsys.readouterr().err
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+        "localization.csv", "pattern3d.csv"]
+
+
+@pytest.mark.parametrize("window, order", [(25, 16), (13, 10)])
+def test_unfittable_smoothing_spec_fails_its_step(
+        window, order, default_beampattern_csv, tmp_path, capfd):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(default_beampattern_csv), "--smooth",
+                     "--localize", "--sg-window", str(window), "--sg-order",
+                     str(order), "--out-dir", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.err.startswith(f"error: smooth: order {order} is too "
+                                   f"high for window {window}")
+    assert captured.err.count("\n") == 1
+    assert [f.name for f in out.iterdir()] == ["localization.csv"]
+
+
+def test_unfittable_smoothing_spec_on_full_turn(tmp_path, capfd):
+    """A 181-point window at order 179: no LinAlgError traceback and no
+    LAPACK message, one line for the step that failed."""
+    ini = tmp_path / "turn.ini"
+    ini.write_text(SLICE_CAMPAIGN + "\n[geometry]\nrotation_step_deg = 1\n")
+    table = tmp_path / "bp.csv"
+    assert main(["simulate", "--config", str(ini), "--out", str(table)]) == 0
+    capfd.readouterr()
+    assert main(["analyze", str(table), "--smooth", "--sg-window", "181",
+                 "--sg-order", "179", "--out-dir", str(tmp_path)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: smooth: order 179")
+    assert captured.err.count("\n") == 1

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risbeam.array_model import ArraySpec, Direction
+from risbeam.codebook import CodebookGrid, build_codebook, write_codebook
 from risbeam.datasets import (
     DEFAULT_MAPPING,
     POWER_SANITY_FLOOR_DBM,
@@ -22,6 +24,8 @@ from risbeam.datasets import (
     write_beampattern,
 )
 from risbeam.errors import DomainError, NotFoundError, ParseError
+from risbeam.surrogate import MlpSpec, TrainSpec, save_model, train
+from risbeam.svgplot import line_plot
 
 
 def small_beampattern():
@@ -197,6 +201,27 @@ class TestRoundTrips:
             write_beampattern(BeampatternTable([(0, 0)], [0.0], [[-70.0]]), p)
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["bp.csv"]
+
+    @pytest.mark.parametrize("writer", [
+        "write_codebook", "write_beampattern", "save_model", "line_plot"])
+    def test_writer_creates_missing_directories(self, writer, tmp_path):
+        write = {
+            "write_codebook": lambda p: write_codebook(build_codebook(
+                ArraySpec(2, 2), Direction(0, 0), CodebookGrid((0, 3, 3),
+                                                               (0, 0, 3))), p),
+            "write_beampattern": lambda p: write_beampattern(
+                small_beampattern(), p),
+            "save_model": lambda p: save_model(train(
+                np.column_stack([np.arange(40.0)] * 4),
+                MlpSpec(hidden_layers=1, hidden_width=2),
+                TrainSpec(epochs=1, batch_size=10))[0], p),
+            "line_plot": lambda p: line_plot([([0, 1], [1, 0], "x")], p),
+        }[writer]
+        path = tmp_path / "a" / "b" / "out"
+        write(path)
+        assert path.stat().st_size > 0
+        assert [str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")
+                if f.is_file()] == [os.path.join("a", "b", "out")]
 
     def test_campaign_round_trip(self, quiet_beampattern, tmp_path):
         p = tmp_path / "campaign.csv"

@@ -106,6 +106,10 @@ class TestFlattenTable:
                 assert rec[2] == rotations[c]
                 assert rec[3] == power[r, c]
 
+    def test_absorption_table_refused(self, quiet_absorption):
+        with pytest.raises(DomainError, match="beampattern"):
+            flatten_table(quiet_absorption)
+
 
 class TestSplitRecords:
     def test_partition(self, rng):
