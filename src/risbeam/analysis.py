@@ -36,9 +36,6 @@ __all__ = [
 # rather than the textbook -3.
 HALF_POWER_DB = 10.0 * math.log10(0.5)
 
-# Largest error a smoothing spec may show on a constant series.
-_SG_CONSTANT_TOL = 1e-9
-
 
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -57,6 +54,10 @@ class SgFilterSpec:
     order: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("window", "order"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window < 3 or self.window % 2 == 0:
             raise DomainError(f"window must be odd and >= 3, got {self.window}")
         if not 0 <= self.order < self.window:
@@ -65,73 +66,22 @@ class SgFilterSpec:
             )
 
 
-def _fit_eval(x: np.ndarray, y: np.ndarray, order: int,
-              at: float) -> np.ndarray:
-    # Center the Vandermonde basis on the evaluation point so the constant
-    # coefficient is the fitted value itself. y is (rows, len(x)): one
-    # least-squares solve with a right-hand side per row.
-    powers = np.arange(order + 1)
-    v = (x - at)[:, None] ** powers[None, :]
-    coef, *_ = np.linalg.lstsq(v, y.T, rcond=None)
-    return coef[0]
+def _weights(points: int, at: int, order: int) -> np.ndarray:
+    """Weights that give the value at sample `at` of the least-squares
+    polynomial of degree `order` through `points` equally spaced samples.
 
-
-def _interior_weights(window: int, order: int) -> np.ndarray:
-    # Weight vector of the centered least-squares value. The normal matrix
-    # has integer entries (sums of powers of the symmetric offsets), which
-    # keeps the solve well conditioned for the small windows used here.
-    half = window // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
-    v = offsets[:, None] ** np.arange(order + 1)[None, :]
-    gram = v.T @ v
-    first_basis = np.zeros(order + 1)
-    first_basis[0] = 1.0
-    return v @ np.linalg.solve(gram, first_basis)
-
-
-def _smooth(table: np.ndarray, spec: SgFilterSpec) -> np.ndarray:
-    """savitzky_golay on a (rows, n) table, n >= window, without checks."""
-    n = table.shape[1]
-    half = spec.window // 2
-    out = np.empty_like(table)
-    weights = _interior_weights(spec.window, spec.order)
-    for series, smoothed in zip(table, out):
-        smoothed[half : n - half] = np.correlate(series, weights, mode="valid")
-    positions = np.arange(n, dtype=float)
-    for i in range(half):
-        stop = i + half + 1
-        out[:, i] = _fit_eval(positions[:stop], table[:, :stop], spec.order,
-                              float(i))
-    for i in range(n - half, n):
-        start = i - half
-        out[:, i] = _fit_eval(positions[start:], table[:, start:], spec.order,
-                              float(i))
-    return out
-
-
-def _check_fits(spec: SgFilterSpec) -> None:
-    """Refuse a spec whose fits do not return a constant series.
-
-    High orders make the fits' normal equations too ill-conditioned for
-    float64: (13, 10) is off by 1.8e-9, (25, 16) by 1.0.  Each position's
-    fit depends on the window and order only, so one series of `window`
-    points covers every position of any series.  When window**(2*order)
-    overflows a float, the solves are not tried: LAPACK would print a
-    warning about the infinite entries.
+    The samples are mapped onto [-1, 1] and fitted in the Legendre basis,
+    which stays well conditioned where powers of the offsets overflow or
+    cancel.  With Q from the QR factorization of that Vandermonde matrix,
+    the fitted values are Q Q^T y, so the weights are row `at` of Q Q^T.
+    With no more points than coefficients the fit interpolates, and the
+    weights pick the sample itself.
     """
-    error = np.inf
-    if 2 * spec.order * math.log2(spec.window) < 1024:
-        ones = np.ones((1, spec.window))
-        with np.errstate(all="ignore"):
-            try:
-                error = np.abs(_smooth(ones, spec) - ones).max()
-            except np.linalg.LinAlgError:
-                pass
-    if not error <= _SG_CONSTANT_TOL:
-        raise DomainError(
-            f"order {spec.order} is too high for window {spec.window}: its "
-            f"fits do not return a constant series to within "
-            f"{_SG_CONSTANT_TOL:g}")
+    if points <= order + 1:
+        return (np.arange(points) == at).astype(float)
+    x = np.linspace(-1.0, 1.0, points)
+    q, _ = np.linalg.qr(np.polynomial.legendre.legvander(x, order))
+    return q @ q[at]
 
 
 def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
@@ -142,9 +92,10 @@ def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
     Interior points get the classic centered fit. The first and last
     half-window points are fitted on the truncated window that remains
     inside the series (no mirror padding), so polynomials up to `order`
-    pass through unchanged everywhere, edges included. Each edge position
-    is one least-squares solve for all rows at once.  A spec whose fits do
-    not return a constant series to within 1e-9 raises DomainError.
+    pass through unchanged everywhere, edges included; an edge window with
+    no more points than coefficients returns the sample itself.  Every
+    order below the window is accepted, and a row gives the same bits
+    alone as inside a table.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2):
@@ -156,8 +107,21 @@ def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
         raise DomainError(
             f"series of length {n} shorter than window {spec.window}"
         )
-    _check_fits(spec)
-    return _smooth(v.reshape(-1, n), spec).reshape(v.shape)
+    table = v.reshape(-1, n)
+    half, order = spec.window // 2, spec.order
+    out = np.empty_like(table)
+    weights = _weights(spec.window, half, order)
+    for series, smoothed in zip(table, out):
+        smoothed[half : n - half] = np.correlate(series, weights, mode="valid")
+    # Edge position i and its mirror n-1-i each fit the i+half+1 samples
+    # at their end.  A product with the rows summed by numpy, not a BLAS
+    # matrix product, so a row's sums do not depend on the table around it.
+    for i in range(half):
+        points = i + half + 1
+        out[:, i] = (table[:, :points] * _weights(points, i, order)).sum(axis=1)
+        out[:, n - 1 - i] = (table[:, n - points:]
+                             * _weights(points, half, order)).sum(axis=1)
+    return out.reshape(v.shape)
 
 
 def hpbw(angles_deg, power_dbm) -> float:
@@ -430,11 +394,9 @@ def localization_success_rate(
     one label over another. A column therefore counts as localized when
     any beam sharing the winning row's exact config is within tolerance.
     """
-    if codebook.indices.shape[0] != table.beams.shape[0]:
-        raise DomainError(
-            f"codebook has {codebook.indices.shape[0]} rows, "
-            f"table has {table.beams.shape[0]}"
-        )
+    if not np.array_equal(table.beams, codebook.beams):
+        raise DomainError("table rows are not the codebook's beams, "
+                          "in the codebook's order")
     groups: dict[bytes, list[int]] = {}
     for row in range(codebook.indices.shape[0]):
         groups.setdefault(codebook.indices[row].tobytes(), []).append(row)

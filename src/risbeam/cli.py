@@ -21,6 +21,7 @@ from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
     BeampatternTable,
+    _power_rows,
     _write_lines,
     load_column_mapping,
     read_table,
@@ -169,8 +170,8 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
         _write_csv(
             out,
             ["azimuth_deg"] + ["el_%g" % e for e in pattern.elevation_deg],
-            [["%g" % a] + ["%.6f" % v for v in rowvals]
-             for a, rowvals in zip(pattern.azimuth_deg, pattern.power_dbm)],
+            [["%g" % a, text] for a, text in
+             zip(pattern.azimuth_deg, _power_rows(pattern.power_dbm))],
         )
         print(f"reconstruct: {pattern.power_dbm.shape[0]}x"
               f"{pattern.power_dbm.shape[1]} grid at tilt {args.tilt:g} -> {out}")

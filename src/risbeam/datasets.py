@@ -43,8 +43,12 @@ def _fmt_angle(v: float) -> str:
     return "%d" % round(v) if float(v) == round(v) else "%.6f" % v
 
 
-def _fmt_power(v: float) -> str:
-    return "%.6f" % v
+def _power_rows(values: np.ndarray):
+    """Yield the text of each row of a 2-d array of powers: ``%.6f`` cells
+    joined by commas, one ``%`` conversion per row."""
+    fmt = ",".join(["%.6f"] * values.shape[1])
+    for row in values:
+        yield fmt % tuple(row.tolist())
 
 
 def _fmt_exact(v: float) -> str:  # 17 digits: reads back the same float
@@ -327,8 +331,7 @@ def _write_table(table: _Table, path) -> None:
     comment = ("theta_t=%s" % _fmt_angle(table.theta_t_deg)
                if table.has_theta_t else None)
     _write_rows(path, comment, [prefix + _fmt_angle(v) for v in table._labels],
-                table.beams, (",".join([_fmt_power(p) for p in row.tolist()])
-                              for row in table.power_dbm))
+                table.beams, _power_rows(table.power_dbm))
 
 
 def _parse_theta_t(path, line: str, key: str) -> float:

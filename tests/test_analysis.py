@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risbeam.analysis import (
@@ -37,6 +37,17 @@ class TestSgSpec:
             SgFilterSpec(window=6)
         with pytest.raises(DomainError):
             SgFilterSpec(window=1)
+
+    @pytest.mark.parametrize("window, order", [(7.0, 4), (7, 4.0)])
+    def test_rejects_non_integer_window_or_order(self, window, order):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SgFilterSpec(window=window, order=order)
+
+    def test_numpy_integers_accepted(self):
+        spec = SgFilterSpec(window=np.int64(7), order=np.int32(4))
+        v = np.full(9, -61.25)
+        np.testing.assert_array_equal(savitzky_golay(v, spec),
+                                      savitzky_golay(v))
 
     def test_rejects_order_not_below_window(self):
         with pytest.raises(DomainError):
@@ -84,18 +95,15 @@ class TestSavitzkyGolay:
         with pytest.raises(DomainError, match="shorter than window"):
             savitzky_golay(np.zeros(6))
 
-    @pytest.mark.parametrize("window, order, atol", [
-        (7, 4, 0.0), (3, 1, 0.0), (11, 4, 1e-12), (15, 6, 1e-12)])
-    def test_table_matches_row_by_row(self, rng, window, order, atol):
+    @pytest.mark.parametrize("window, order", [
+        (7, 4), (3, 1), (11, 4), (15, 6), (25, 16), (61, 40)])
+    def test_table_matches_row_by_row(self, rng, window, order):
         spec = SgFilterSpec(window=window, order=order)
         table = -60.0 + rng.normal(0, 3, (40, 61))
         rows = np.vstack([savitzky_golay(r, spec) for r in table])
         out = savitzky_golay(table, spec)
         assert out.shape == table.shape
-        if atol == 0.0:
-            np.testing.assert_array_equal(out, rows)
-        else:
-            np.testing.assert_allclose(out, rows, rtol=0, atol=atol)
+        np.testing.assert_array_equal(out, rows)
 
     def test_short_table_rejected(self):
         with pytest.raises(DomainError, match="shorter than window"):
@@ -118,22 +126,37 @@ class TestSavitzkyGolay:
     @pytest.mark.parametrize("window, order", [
         (13, 10), (25, 16), (181, 100), (181, 179), (1001, 999)])
     def test_unfittable_spec_refused(self, window, order, capfd):
-        """Fits that cannot return a constant series are refused with no
-        warning and no LAPACK message, even where window**(2*order)
-        overflows."""
-        spec = SgFilterSpec(window=window, order=order)  # built without a fit
+        """Specs that fits in the power basis of the offsets could not
+        return a constant series (and so were once refused) are fitted:
+        a constant comes back with no warning and no LAPACK message."""
+        spec = SgFilterSpec(window=window, order=order)
+        c = -61.25
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="too high for window"):
-                savitzky_golay(np.ones((2, window)), spec)
+            out = savitzky_golay(np.full((2, window), c), spec)
+        np.testing.assert_allclose(out, c, rtol=0, atol=1e-9 * abs(c))
         assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("window, order", [(11, 8), (9, 8), (3, 2)])
-    def test_highest_fittable_orders_accepted(self, window, order):
-        v = np.full(window + 4, -61.25)
-        np.testing.assert_allclose(
-            savitzky_golay(v, SgFilterSpec(window=window, order=order)), v,
-            rtol=0, atol=1e-9 * 61.25)
+    @settings(max_examples=100, deadline=None)
+    @given(window_order=st.sampled_from(range(3, 62, 2)).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(0, w - 1))))
+    @example(window_order=(61, 60))
+    @example(window_order=(11, 8))
+    @example(window_order=(9, 8))
+    @example(window_order=(3, 2))
+    def test_every_order_below_window_fits(self, window_order):
+        """A constant, and from order 4 a quartic, comes back at every
+        position for every order below the window."""
+        window, order = window_order
+        x = np.arange(window + 4, dtype=float)
+        constant, quartic = np.full_like(x, -61.25), x ** 4 - 3 * x ** 2 + 7
+        out = savitzky_golay(np.vstack([constant, quartic]),
+                             SgFilterSpec(window=window, order=order))
+        np.testing.assert_allclose(out[0], constant, rtol=0,
+                                   atol=1e-9 * 61.25)
+        if order >= 4:
+            np.testing.assert_allclose(out[1], quartic, rtol=0,
+                                       atol=1e-9 * np.abs(quartic).max())
 
 
 class TestHpbw:
@@ -385,6 +408,17 @@ class TestLocalizationSuccessRate:
                                 quiet_beampattern.power_dbm[:900])
         with pytest.raises(DomainError):
             localization_success_rate(half, default_codebook)
+
+    def test_rows_in_another_order_rejected(self, quiet_beampattern,
+                                            default_codebook):
+        """Each argmax row is looked up in the codebook by position, so a
+        table whose rows are the codebook's beams reversed is refused
+        rather than scored against the wrong beams."""
+        reversed_table = BeampatternTable(quiet_beampattern.beams[::-1],
+                                          quiet_beampattern.rotations,
+                                          quiet_beampattern.power_dbm[::-1])
+        with pytest.raises(DomainError, match="codebook's beams"):
+            localization_success_rate(reversed_table, default_codebook)
 
 
 class TestNmse:

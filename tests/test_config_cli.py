@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from risbeam.analysis import SgFilterSpec
+from risbeam.analysis import SgFilterSpec, savitzky_golay
 from risbeam.array_model import ArraySpec
 from risbeam.chamber import ChamberGeometry, LinkBudget
 from risbeam import cli, errors
@@ -896,30 +896,44 @@ def test_strongest_beam_outside_steering_range(default_beampattern_csv,
 @pytest.mark.parametrize("window, order", [(25, 16), (13, 10)])
 def test_unfittable_smoothing_spec_fails_its_step(
         window, order, default_beampattern_csv, tmp_path, capfd):
+    """Specs once refused as unfittable now smooth like any other: exit 0,
+    both files written and nothing on stderr."""
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["analyze", str(default_beampattern_csv), "--smooth",
                      "--localize", "--sg-window", str(window), "--sg-order",
-                     str(order), "--out-dir", str(out)]) == 1
-    captured = capfd.readouterr()
-    assert captured.err.startswith(f"error: smooth: order {order} is too "
-                                   f"high for window {window}")
-    assert captured.err.count("\n") == 1
-    assert [f.name for f in out.iterdir()] == ["localization.csv"]
+                     str(order), "--out-dir", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    assert sorted(f.name for f in out.iterdir()) == [
+        "localization.csv", "smoothed.csv"]
+    table = read_beampattern(default_beampattern_csv)
+    c = -61.25
+    np.testing.assert_allclose(
+        savitzky_golay(np.full(table.rotations.size, c),
+                       SgFilterSpec(window=window, order=order)),
+        c, rtol=0, atol=1e-9 * abs(c))
 
 
 def test_unfittable_smoothing_spec_on_full_turn(tmp_path, capfd):
-    """A 181-point window at order 179: no LinAlgError traceback and no
-    LAPACK message, one line for the step that failed."""
+    """A 181-point window at order 179 on a 181-column table: no
+    LinAlgError traceback, no LAPACK message and no warning; both files
+    are written."""
     ini = tmp_path / "turn.ini"
     ini.write_text(SLICE_CAMPAIGN + "\n[geometry]\nrotation_step_deg = 1\n")
     table = tmp_path / "bp.csv"
     assert main(["simulate", "--config", str(ini), "--out", str(table)]) == 0
     capfd.readouterr()
-    assert main(["analyze", str(table), "--smooth", "--sg-window", "181",
-                 "--sg-order", "179", "--out-dir", str(tmp_path)]) == 1
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: smooth: order 179")
-    assert captured.err.count("\n") == 1
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(table), "--smooth", "--localize",
+                     "--sg-window", "181", "--sg-order", "179",
+                     "--out-dir", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    assert sorted(f.name for f in out.iterdir()) == [
+        "localization.csv", "smoothed.csv"]
+    c = -61.25
+    np.testing.assert_allclose(
+        savitzky_golay(np.full(181, c), SgFilterSpec(window=181, order=179)),
+        c, rtol=0, atol=1e-9 * abs(c))

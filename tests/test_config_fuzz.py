@@ -137,8 +137,11 @@ def test_arbitrary_bytes(data):
 @example([("value", "azimuth_min_deg", "nan")])
 @example([("value", "rotation_step_deg", "inf")])
 @example([("value", "nx", str(10**20))])
+@example([("value", "element_spacing_wavelengths", "\ud800")])
 def test_mutated_valid_file(edits):
     lines = VALID
     for edit in edits:
         lines = _apply(lines, edit)
-    _load_outcome("\n".join(lines).encode())
+    # a drawn lone surrogate is written as the bytes it would take, which
+    # are not UTF-8, so the loader sees what such a file would hold
+    _load_outcome("\n".join(lines).encode("utf-8", "surrogatepass"))
