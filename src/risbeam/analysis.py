@@ -66,22 +66,25 @@ class SgFilterSpec:
             )
 
 
-def _weights(points: int, at: int, order: int) -> np.ndarray:
-    """Weights that give the value at sample `at` of the least-squares
-    polynomial of degree `order` through `points` equally spaced samples.
+def _basis(points: int, order: int) -> np.ndarray:
+    """Q of the QR factorization of the Legendre Vandermonde matrix of
+    degree `order` on `points` equally spaced samples mapped onto [-1, 1];
+    the weights of the fitted value at sample `at` are ``q @ q[at]``, row
+    `at` of Q Q^T.
 
-    The samples are mapped onto [-1, 1] and fitted in the Legendre basis,
-    which stays well conditioned where powers of the offsets overflow or
-    cancel.  With Q from the QR factorization of that Vandermonde matrix,
-    the fitted values are Q Q^T y, so the weights are row `at` of Q Q^T.
+    The Legendre basis stays well conditioned where powers of the offsets
+    overflow or cancel; its matrix comes from the three-term recurrence.
     With no more points than coefficients the fit interpolates, and the
-    weights pick the sample itself.
+    identity picks each sample itself.
     """
     if points <= order + 1:
-        return (np.arange(points) == at).astype(float)
+        return np.eye(points)
     x = np.linspace(-1.0, 1.0, points)
-    q, _ = np.linalg.qr(np.polynomial.legendre.legvander(x, order))
-    return q @ q[at]
+    v = np.empty((order + 1, points))
+    v[0], v[1:2] = 1.0, x  # v[1:2] is empty at order 0
+    for i in range(2, order + 1):
+        v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return np.linalg.qr(v.T)[0]
 
 
 def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
@@ -110,17 +113,19 @@ def savitzky_golay(values, spec: SgFilterSpec = SgFilterSpec()) -> np.ndarray:
     table = v.reshape(-1, n)
     half, order = spec.window // 2, spec.order
     out = np.empty_like(table)
-    weights = _weights(spec.window, half, order)
+    q = _basis(spec.window, order)
+    weights = q @ q[half]
     for series, smoothed in zip(table, out):
         smoothed[half : n - half] = np.correlate(series, weights, mode="valid")
     # Edge position i and its mirror n-1-i each fit the i+half+1 samples
-    # at their end.  A product with the rows summed by numpy, not a BLAS
-    # matrix product, so a row's sums do not depend on the table around it.
+    # at their end, one basis for both.  Rows are summed by numpy, not a
+    # BLAS product, so a row's sums do not depend on the table around it.
     for i in range(half):
         points = i + half + 1
-        out[:, i] = (table[:, :points] * _weights(points, i, order)).sum(axis=1)
+        q = _basis(points, order)
+        out[:, i] = (table[:, :points] * (q @ q[i])).sum(axis=1)
         out[:, n - 1 - i] = (table[:, n - points:]
-                             * _weights(points, half, order)).sum(axis=1)
+                             * (q @ q[half])).sum(axis=1)
     return out.reshape(v.shape)
 
 

@@ -21,6 +21,7 @@ from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
     BeampatternTable,
+    _fmt_angle,
     _power_rows,
     _write_lines,
     load_column_mapping,
@@ -131,13 +132,12 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
     # the strongest row by default, keyed by the table's own labels
     key = args.beam or tuple(
         table.beams[np.argmax(table.power_dbm.max(axis=1))].tolist())
-    angles, cut = table.row(key)
     label = "beam (%g, %g)" % key
     smoothed = []  # the smoothed table, once that step has worked
 
     def smooth():
         result = BeampatternTable(
-            table.beams, angles,
+            table.beams, table.rotations,
             analysis.savitzky_golay(table.power_dbm, sg), table.theta_t_deg)
         out = outdir / "smoothed.csv"
         write_beampattern(result, out)
@@ -145,10 +145,10 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
         smoothed.append(result)
 
     def hpbw():
-        width = analysis.hpbw(angles, cut)
+        width = analysis.hpbw(*table.row(key))
         out = outdir / "hpbw.csv"
         _write_csv(out, ["beam_azimuth_deg", "beam_elevation_deg", "hpbw_deg"],
-                   [["%g" % key[0], "%g" % key[1], "%.6f" % width]])
+                   [[_fmt_angle(key[0]), _fmt_angle(key[1]), "%.6f" % width]])
         print(f"hpbw: {width:.4f} deg for {label} -> {out}")
 
     def localize():
@@ -157,26 +157,28 @@ def _analyze_beampattern(args, table: BeampatternTable, outdir: Path) -> list:
         _write_csv(
             out,
             ["theta_r", "theta_n_hat", "phi_n_hat", "row"],
-            [["%g" % e.rotation_deg, "%g" % e.azimuth_deg,
-              "%g" % e.elevation_deg, e.row] for e in estimates],
+            [[_fmt_angle(e.rotation_deg), _fmt_angle(e.azimuth_deg),
+              _fmt_angle(e.elevation_deg), e.row] for e in estimates],
         )
         exact = sum(1 for e in estimates if e.azimuth_deg == e.rotation_deg)
         print(f"localize: {exact}/{len(estimates)} columns with "
               f"matching azimuth label -> {out}")
 
     def reconstruct():
-        pattern = analysis.hpi_reconstruct(angles, cut, args.tilt)
+        pattern = analysis.hpi_reconstruct(*table.row(key), args.tilt)
         out = outdir / "pattern3d.csv"
         _write_csv(
             out,
-            ["azimuth_deg"] + ["el_%g" % e for e in pattern.elevation_deg],
-            [["%g" % a, text] for a, text in
+            ["azimuth_deg"] + ["el_" + _fmt_angle(e)
+                               for e in pattern.elevation_deg],
+            [[_fmt_angle(a), text] for a, text in
              zip(pattern.azimuth_deg, _power_rows(pattern.power_dbm))],
         )
         print(f"reconstruct: {pattern.power_dbm.shape[0]}x"
               f"{pattern.power_dbm.shape[1]} grid at tilt {args.tilt:g} -> {out}")
 
     def svg():
+        angles, cut = table.row(key)
         series = [(angles, cut, label)] + [
             (angles, s.row(key).values, "smoothed") for s in smoothed]
         out = outdir / "beampattern.svg"
@@ -210,7 +212,7 @@ def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> list:
     def hpbw():
         out = outdir / "hpbw.csv"
         _write_csv(out, ["side", "active_count", "hpbw_deg"],
-                   [["%g" % s, "%d" % n, "%.6f" % w]
+                   [[_fmt_angle(s), _fmt_angle(n), "%.6f" % w]
                     for s, n, w in zip(sides, table.active_counts, widths)])
         print("hpbw:", ", ".join("n=%d -> %.3f deg" % (n, w)
                                  for n, w in zip(table.active_counts, widths)))
@@ -287,12 +289,13 @@ def _prediction_lines(at, table, predictions, line_format: str):
     # zip draws from the labels first, so it stops without taking a power
     # that belongs to the next group
     for (a, e, r), p in zip(at.tolist(), powers):
-        yield line_format % ("%g,%g," % (a, e), "%g" % r, p)
+        yield line_format % (_fmt_angle(a) + "," + _fmt_angle(e) + ",",
+                             _fmt_angle(r), p)
     if table is None:
         return
-    labels = ["%g" % r for r in table.rotations.tolist()]
+    labels = [_fmt_angle(r) for r in table.rotations.tolist()]
     for a, e in table.beams.tolist():
-        prefix = "%g,%g," % (a, e)
+        prefix = _fmt_angle(a) + "," + _fmt_angle(e) + ","
         for label, p in zip(labels, powers):
             yield line_format % (prefix, label, p)
 

@@ -14,7 +14,7 @@ Both schemas go through one writer and one reader; ``read_table`` sniffs the
 schema from the header.  Codebook files share the beam-row layout beneath
 (header, ``<az>,<el>,<cells>`` lines, beam checks and lookup).  Powers are
 serialized with 6 decimal places (far below any measurement precision),
-angles as plain integers when integral.  Readers accept an optional
+angles and labels exactly (`_fmt_angle`).  Readers accept an optional
 column-name mapping so externally produced files with renamed headers can
 be ingested without rewriting them.
 """
@@ -40,7 +40,8 @@ class TableSlice(NamedTuple):
 
 
 def _fmt_angle(v: float) -> str:
-    return "%d" % round(v) if float(v) == round(v) else "%.6f" % v
+    """Integer digits when integral, else the shortest exact float text."""
+    return "%d" % v if float(v).is_integer() else repr(float(v))
 
 
 def _power_rows(values: np.ndarray):
@@ -165,7 +166,9 @@ class _Table:
         _check_beams(self.beams)
         if not np.all(np.isfinite(self._labels)):
             raise DomainError(f"{self.axis} must be finite")
-        if np.any(np.diff(self._labels) <= 0):
+        # compared, not subtracted: finite labels can differ by more
+        # than the largest float
+        if np.any(self._labels[1:] <= self._labels[:-1]):
             raise DomainError(f"{self.axis} must be strictly ascending")
         self._check_schema()
         if not np.all(np.isfinite(self.power_dbm)):

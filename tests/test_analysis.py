@@ -125,7 +125,7 @@ class TestSavitzkyGolay:
 
     @pytest.mark.parametrize("window, order", [
         (13, 10), (25, 16), (181, 100), (181, 179), (1001, 999)])
-    def test_unfittable_spec_refused(self, window, order, capfd):
+    def test_high_order_spec_fits(self, window, order, capfd):
         """Specs that fits in the power basis of the offsets could not
         return a constant series (and so were once refused) are fitted:
         a constant comes back with no warning and no LAPACK message."""

@@ -357,6 +357,16 @@ class TestAnalyzeCommand:
         assert "error" in err and "nearest azimuths" in err
         assert "Traceback" not in err
 
+    def test_unknown_beam_fails_only_the_steps_that_use_it(
+            self, default_beampattern_csv, tmp_path, capsys):
+        assert main(["analyze", str(default_beampattern_csv), "--beam", "1,0",
+                     "--smooth", "--localize", "--hpbw",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: hpbw: beam (1, 0)")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "localization.csv", "smoothed.csv"]
+
     def test_malformed_beam_exits_2(self, default_beampattern_csv, capsys):
         for beam in ("1;0", "a,b", "1,nan", "inf,0", "0,0,0", "100,0"):
             assert main(["analyze", str(default_beampattern_csv), "--hpbw",
@@ -594,10 +604,17 @@ class TestTrainPredictCommands:
         assert "beampattern" in capsys.readouterr().err
 
 
+def exact_angle(v: float) -> str:
+    """An angle spelled as the integer when integral, else the shortest
+    text that reads back as the same float."""
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
 def listcomp_predict_outputs(model_path, at_texts, table_path):
     """(CSV text, stdout text) of `predict`, formatted the way it was before
-    the beam-by-rotation writer: one tuple per row, then a list of "%g"/"%.6f"
-    field lists joined by str(), and one f-string per row for stdout."""
+    the beam-by-rotation writer: one tuple per row, then a list of exact
+    angle and "%.6f" field lists joined by str(), and one f-string per row
+    for stdout."""
     model = load_model(model_path)
     rows = [tuple(float(v) for v in text.split(",")) for text in at_texts]
     if table_path:
@@ -605,11 +622,12 @@ def listcomp_predict_outputs(model_path, at_texts, table_path):
                     for r in flatten_table(read_table(table_path))[:, :3])
     predictions = model.predict_batch(np.asarray(rows, dtype=float))
     lines = [["theta_n", "phi_n", "theta_r", "rsrp_dbm_pred"]] + [
-        ["%g" % a, "%g" % e, "%g" % r, "%.6f" % p]
+        [exact_angle(a), exact_angle(e), exact_angle(r), "%.6f" % p]
         for (a, e, r), p in zip(rows, predictions)]
     csv = "".join(",".join(str(v) for v in line) + "\n" for line in lines)
-    stdout = "".join(f"{a:g},{e:g},{r:g} -> {p:.6f} dBm\n"
-                     for (a, e, r), p in zip(rows, predictions))
+    stdout = "".join(
+        f"{exact_angle(a)},{exact_angle(e)},{exact_angle(r)} -> {p:.6f} dBm\n"
+        for (a, e, r), p in zip(rows, predictions))
     return csv, stdout
 
 
@@ -645,6 +663,22 @@ def odd_angles_csv(tmp_path_factory):
         "-0,1e-07,-73,-73.25,-73.5,-73.75,-74\n"
         "33.25,-12.125,-75,-75.125,-75.25,-75.375,-75.5\n")
     return path
+
+
+def test_odd_labels_read_back_exactly(odd_angles_csv, tmp_path, capsys):
+    """Non-grid, tiny and signed-zero labels survive smoothing and
+    localization: the smoothed table has the input's beams and rotations,
+    and localization.csv's theta_r column is the rotations."""
+    assert main(["analyze", str(odd_angles_csv), "--smooth", "--localize",
+                 "--sg-window", "3", "--sg-order", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    table = read_table(odd_angles_csv)
+    smoothed = read_table(tmp_path / "smoothed.csv")
+    assert np.array_equal(smoothed.beams, table.beams)
+    assert np.array_equal(smoothed.rotations, table.rotations)
+    rows = (tmp_path / "localization.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == table.rotations.tolist()
 
 
 class TestPredictWriter:
@@ -894,7 +928,7 @@ def test_strongest_beam_outside_steering_range(default_beampattern_csv,
 
 
 @pytest.mark.parametrize("window, order", [(25, 16), (13, 10)])
-def test_unfittable_smoothing_spec_fails_its_step(
+def test_high_order_smoothing_spec_writes_its_files(
         window, order, default_beampattern_csv, tmp_path, capfd):
     """Specs once refused as unfittable now smooth like any other: exit 0,
     both files written and nothing on stderr."""
@@ -915,7 +949,7 @@ def test_unfittable_smoothing_spec_fails_its_step(
         c, rtol=0, atol=1e-9 * abs(c))
 
 
-def test_unfittable_smoothing_spec_on_full_turn(tmp_path, capfd):
+def test_high_order_smoothing_spec_on_full_turn(tmp_path, capfd):
     """A 181-point window at order 179 on a 181-column table: no
     LinAlgError traceback, no LAPACK message and no warning; both files
     are written."""

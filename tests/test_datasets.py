@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risbeam.array_model import ArraySpec, Direction
-from risbeam.codebook import CodebookGrid, build_codebook, write_codebook
+from risbeam.codebook import (CodebookGrid, build_codebook, read_codebook,
+                              write_codebook)
 from risbeam.datasets import (
     DEFAULT_MAPPING,
     POWER_SANITY_FLOOR_DBM,
@@ -26,6 +27,9 @@ from risbeam.datasets import (
 from risbeam.errors import DomainError, NotFoundError, ParseError
 from risbeam.surrogate import MlpSpec, TrainSpec, save_model, train
 from risbeam.svgplot import line_plot
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def small_beampattern():
@@ -184,9 +188,43 @@ class TestRoundTrips:
         p = tmp_path / "bp.csv"
         write_beampattern(small_beampattern(), p)
         lines = p.read_text().splitlines()
-        assert lines[0] == "# theta_t=-1.500000"
+        assert lines[0] == "# theta_t=-1.5"
         assert lines[1] == "theta_n,phi_n,rot_-6,rot_0,rot_6"
         assert lines[2].startswith("-3,0,")
+
+    @settings(max_examples=100, deadline=None)
+    @given(beams=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=4,
+                          unique=True),
+           rotations=st.lists(FINITE, min_size=1, max_size=5,
+                              unique=True).map(sorted),
+           theta_t=FINITE,
+           tx=st.tuples(st.floats(-90, 90), st.floats(-90, 90)))
+    @example(beams=[(-0.0, 5e-324), (1e300, 0.1)],
+             rotations=[-1.7976931348623157e308, -1e-07, 33.333333,
+                        1.7976931348623157e308],
+             theta_t=-1.5, tx=(-0.0, 1e-07))
+    def test_any_finite_angles_read_back_exactly(self, tmp_path_factory,
+                                                 beams, rotations, theta_t,
+                                                 tx):
+        """Beams, rotations and theta_t of any finite float, and a
+        codebook's tx direction, read back equal; writing what was read
+        gives the same bytes."""
+        t = BeampatternTable(beams, rotations,
+                             np.full((len(beams), len(rotations)), -60.5),
+                             theta_t_deg=theta_t)
+        tx = Direction(*tx)
+        cb = build_codebook(ArraySpec(2, 2), tx,
+                            CodebookGrid((0, 3, 3), (0, 0, 3)))
+        tmp = tmp_path_factory.mktemp("angles")
+        write_beampattern(t, tmp / "a.csv")
+        write_codebook(cb, tmp / "a_cb.csv")
+        assert read_beampattern(tmp / "a.csv") == t
+        assert read_codebook(tmp / "a_cb.csv").tx == tx
+        write_beampattern(read_beampattern(tmp / "a.csv"), tmp / "b.csv")
+        write_codebook(read_codebook(tmp / "a_cb.csv"), tmp / "b_cb.csv")
+        for name in ("", "_cb"):
+            assert ((tmp / f"a{name}.csv").read_bytes()
+                    == (tmp / f"b{name}.csv").read_bytes())
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "bp.csv"
