@@ -8,151 +8,17 @@ pattern smoothing, beamwidth extraction, scaling-law fits, angle-of-arrival
 localization, 3D pattern reconstruction, and a small learned surrogate.
 """
 
-from .array_model import (
-    ArraySpec,
-    Direction,
-    PhaseConfig,
-    element_phase_profile,
-    ideal_config,
-    quantization_loss,
-    quantize_config,
-    quantize_phases,
-    received_signal,
-    steering_vector,
-    uniform_phase_set,
-)
-from .chamber import (
-    ChamberGeometry,
-    LinkBudget,
-    SampleCountStudy,
-    field_regions,
-    rsrp,
-    sample_count_study,
-    sweep_absorption,
-    sweep_beampattern,
-)
-from .codebook import (
-    MODE_TX_COMPENSATED,
-    MODE_UNCOMPENSATED,
-    Codebook,
-    CodebookGrid,
-    absorption_masks,
-    build_codebook,
-    lookup,
-    read_codebook,
-    write_codebook,
-)
-from .analysis import (
-    ExpFit,
-    LocalizedColumn,
-    Pattern3D,
-    SgFilterSpec,
-    fit_exponential,
-    hpbw,
-    hpi_reconstruct,
-    localization_success_rate,
-    localize_aoa,
-    nmse,
-    savitzky_golay,
-)
-from .config import CampaignConfig, load_campaign_config
-from .datasets import (
-    AbsorptionTable,
-    BeampatternTable,
-    load_column_mapping,
-    read_absorption,
-    read_beampattern,
-    read_table,
-    write_absorption,
-    write_beampattern,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitDivergenceError,
-    LobeTruncatedError,
-    ModelFormatError,
-    NotFoundError,
-    ParseError,
-    RisbeamError,
-)
-from .surrogate import (
-    MlpModel,
-    MlpSpec,
-    TrainSpec,
-    flatten_table,
-    gradient_check,
-    load_model,
-    save_model,
-    split_records,
-    train,
-)
+from .array_model import *
+from .chamber import *
+from .codebook import *
+from .analysis import *
+from .config import *
+from .datasets import *
+from .errors import *
+from .surrogate import *
+from . import (analysis, array_model, chamber, codebook, config, datasets,
+               errors, surrogate)
 
-__all__ = [
-    "ArraySpec",
-    "Direction",
-    "PhaseConfig",
-    "element_phase_profile",
-    "ideal_config",
-    "quantization_loss",
-    "quantize_config",
-    "quantize_phases",
-    "received_signal",
-    "steering_vector",
-    "uniform_phase_set",
-    "ChamberGeometry",
-    "LinkBudget",
-    "SampleCountStudy",
-    "field_regions",
-    "rsrp",
-    "sample_count_study",
-    "sweep_absorption",
-    "sweep_beampattern",
-    "MODE_TX_COMPENSATED",
-    "MODE_UNCOMPENSATED",
-    "Codebook",
-    "CodebookGrid",
-    "absorption_masks",
-    "build_codebook",
-    "lookup",
-    "read_codebook",
-    "write_codebook",
-    "ExpFit",
-    "LocalizedColumn",
-    "Pattern3D",
-    "SgFilterSpec",
-    "fit_exponential",
-    "hpbw",
-    "hpi_reconstruct",
-    "localization_success_rate",
-    "localize_aoa",
-    "nmse",
-    "savitzky_golay",
-    "CampaignConfig",
-    "load_campaign_config",
-    "AbsorptionTable",
-    "BeampatternTable",
-    "load_column_mapping",
-    "read_absorption",
-    "read_beampattern",
-    "read_table",
-    "write_absorption",
-    "write_beampattern",
-    "ConfigError",
-    "DomainError",
-    "FitDivergenceError",
-    "LobeTruncatedError",
-    "ModelFormatError",
-    "NotFoundError",
-    "ParseError",
-    "RisbeamError",
-    "MlpModel",
-    "MlpSpec",
-    "TrainSpec",
-    "flatten_table",
-    "gradient_check",
-    "load_model",
-    "save_model",
-    "split_records",
-    "train",
-]
+__all__ = (array_model.__all__ + chamber.__all__ + codebook.__all__
+           + analysis.__all__ + config.__all__ + datasets.__all__
+           + errors.__all__ + surrogate.__all__)

@@ -36,6 +36,10 @@ __all__ = [
 # rather than the textbook -3.
 HALF_POWER_DB = 10.0 * math.log10(0.5)
 
+# Levenberg-Marquardt starting damping and convergence tolerance.
+_LM_DAMPING = 1e-3
+_LM_TOL = 1e-10
+
 
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -217,16 +221,14 @@ def fit_exponential(
     init: tuple[float, float, float] | None = None,
     *,
     max_iterations: int = 200,
-    damping: float = 1e-3,
-    tol: float = 1e-10,
 ) -> ExpFit:
     """Levenberg-Marquardt fit of y = a*exp(b*x) + c.
 
-    Damping starts at `damping`, grows tenfold on a rejected step and
-    shrinks tenfold on an accepted one. Converged when an accepted step
-    has both relative step size and relative residual decrease below
-    `tol`. Raises FitDivergenceError (carrying the last iterate) when the
-    iteration budget runs out or the damped normal matrix degenerates.
+    Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
+    tenfold on an accepted one. Converged when an accepted step has both
+    relative step size and relative residual decrease below 1e-10. Raises
+    FitDivergenceError (carrying the last iterate) when the iteration
+    budget runs out or the damped normal matrix degenerates.
     """
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
@@ -254,7 +256,7 @@ def fit_exponential(
 
     r = residuals(params)
     ssr = float(r @ r)
-    lam = damping
+    lam = _LM_DAMPING
     for iteration in range(1, max_iterations + 1):
         if ssr == 0.0:
             break
@@ -280,7 +282,7 @@ def fit_exponential(
         rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
         params, r, ssr = candidate, r_new, ssr_new
         lam = max(lam / 10.0, 1e-15)
-        if rel_step < tol and rel_drop < tol:
+        if rel_step < _LM_TOL and rel_drop < _LM_TOL:
             break
     else:
         raise diverged(params, ssr, max_iterations, "iteration budget exhausted")

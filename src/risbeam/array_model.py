@@ -15,6 +15,20 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = [
+    "ArraySpec",
+    "Direction",
+    "PhaseConfig",
+    "element_phase_profile",
+    "ideal_config",
+    "quantization_loss",
+    "quantize_config",
+    "quantize_phases",
+    "received_signal",
+    "steering_vector",
+    "uniform_phase_set",
+]
+
 TWO_PI = 2.0 * np.pi
 SPEED_OF_LIGHT = 299792458.0
 INDEX_LIMIT = np.iinfo(np.intp).max  # the largest array size numpy can index

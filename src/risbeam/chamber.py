@@ -18,12 +18,25 @@ import numpy as np
 
 from .array_model import (INDEX_LIMIT, ArraySpec, Direction, SPEED_OF_LIGHT,
                           element_phase_profile, received_signal)
-from .codebook import Codebook, _axis_values, _row_blocks, absorption_masks
+from .codebook import (_SIDES, Codebook, _axis_values, _row_blocks,
+                       absorption_masks)
 from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
 
+__all__ = [
+    "ChamberGeometry",
+    "LinkBudget",
+    "SampleCountStudy",
+    "field_regions",
+    "rsrp",
+    "sample_count_study",
+    "sweep_absorption",
+    "sweep_beampattern",
+]
+
 POWER_DECIMALS = 6  # dataset cells are rounded to the serialization precision
 _PRODUCT_ROWS = 64  # config rows per unit of the blocked RSRP matrix product
+_BASE_SAMPLES = 80  # readings per sample-count trial
 
 
 @dataclass(frozen=True)
@@ -242,7 +255,7 @@ def sweep_beampattern(spec: ArraySpec, codebook: Codebook,
 
 def sweep_absorption(spec: ArraySpec, codebook: Codebook,
                      geometry: ChamberGeometry, budget: LinkBudget,
-                     seed: int = 0, sides=(2, 4, 8, 10)) -> AbsorptionTable:
+                     seed: int = 0, sides=_SIDES) -> AbsorptionTable:
     """Measure every codebook beam, boresight receiver, per active subarray.
 
     Columns follow `sides` in the given order; noise stream column indices
@@ -288,14 +301,13 @@ class SampleCountStudy:
 
 
 def sample_count_study(true_rsrp_dbm: float, sigma_db: float, counts,
-                       trials: int, seed: int = 0,
-                       base_samples: int = 80) -> SampleCountStudy:
+                       trials: int, seed: int = 0) -> SampleCountStudy:
     """How many samples per point are enough.
 
-    Each trial draws `base_samples` noisy readings of a constant true RSRP;
-    the trial's ground truth is the running mean over the full batch, and the
-    error of a count c is |mean(first c) - mean(all)| / |mean(all)|.  At
-    c = base_samples the error is exactly zero by construction.
+    Each trial draws 80 noisy readings of a constant true RSRP; the trial's
+    ground truth is the running mean over the full batch, and the error of a
+    count c is |mean(first c) - mean(all)| / |mean(all)|.  At c = 80 the
+    error is exactly zero by construction.
     """
     seed = _check_seed(seed)
     if not np.isfinite(true_rsrp_dbm) or true_rsrp_dbm == 0.0:
@@ -308,16 +320,15 @@ def sample_count_study(true_rsrp_dbm: float, sigma_db: float, counts,
     if len(counts) == 0:
         raise DomainError("counts must be non-empty")
     for c in counts:
-        if not 1 <= c <= base_samples:
-            raise DomainError(
-                f"count {c} outside [1, {base_samples}]")
+        if not 1 <= c <= _BASE_SAMPLES:
+            raise DomainError(f"count {c} outside [1, {_BASE_SAMPLES}]")
 
     rng = np.random.default_rng(seed)
-    draws = true_rsrp_dbm + rng.normal(0.0, sigma_db, (trials, base_samples))
-    running = np.cumsum(draws, axis=1) / np.arange(1, base_samples + 1)
-    truth = running[:, base_samples - 1]
+    draws = true_rsrp_dbm + rng.normal(0.0, sigma_db, (trials, _BASE_SAMPLES))
+    running = np.cumsum(draws, axis=1) / np.arange(1, _BASE_SAMPLES + 1)
+    truth = running[:, _BASE_SAMPLES - 1]
     errors = {}
     for c in counts:
         rel = np.abs(running[:, c - 1] - truth) / np.abs(truth)
         errors[c] = np.sort(rel)
-    return SampleCountStudy(counts, base_samples, errors)
+    return SampleCountStudy(counts, _BASE_SAMPLES, errors)

@@ -243,9 +243,9 @@ def _analyze_absorption(args, table: AbsorptionTable, outdir: Path) -> list:
 
 def _cmd_analyze(args) -> int:
     if not (args.smooth or args.hpbw or args.fit or args.localize
-            or args.reconstruct):
+            or args.reconstruct or args.svg):
         print("analyze: pick at least one of --smooth --hpbw --fit "
-              "--localize --reconstruct", file=sys.stderr)
+              "--localize --reconstruct --svg", file=sys.stderr)
         return 2
     if args.reconstruct and args.tilt is None:
         print("analyze: --reconstruct needs --tilt", file=sys.stderr)
@@ -355,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--tilt", type=float, help="pattern peak elevation (deg)")
     p.add_argument("--beam", type=_parse_beam,
-                   help="beam row as 'AZ,EL' (default: strongest row)")
+                   help="beam row as 'AZ,EL' (default: strongest row); "
+                        "a negative AZ needs the = form, --beam=-45,-3")
     p.add_argument("--elevation", type=float, default=-3.0,
                    help="elevation slice for absorption widths")
     p.add_argument("--sg-window", type=int,
@@ -384,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model file from train")
     p.add_argument("--at", action="append",
                    type=lambda text: _parse_point(text, "AZ,EL,ROT"),
-                   help="point as 'AZ,EL,ROT' (repeatable)")
+                   help="point as 'AZ,EL,ROT' (repeatable); a negative AZ "
+                        "needs the = form, --at=-10,0,0")
     p.add_argument("--table", help="predict at every cell of this table")
     p.add_argument("--out", help="predictions CSV")
     p.set_defaults(func=_cmd_predict)

@@ -19,9 +19,22 @@ from .datasets import (_as_beams, _beam_index, _check_beams, _fmt_angle,
                        _write_rows)
 from .errors import DomainError, ParseError
 
+__all__ = [
+    "MODE_TX_COMPENSATED",
+    "MODE_UNCOMPENSATED",
+    "Codebook",
+    "CodebookGrid",
+    "absorption_masks",
+    "build_codebook",
+    "lookup",
+    "read_codebook",
+    "write_codebook",
+]
+
 MODE_TX_COMPENSATED = "tx-compensated"
 MODE_UNCOMPENSATED = "uncompensated"
 MODES = (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED)
+_SIDES = (2, 4, 8, 10)  # the paper's absorption subarray sides
 
 # Codebook-sized matrices are processed this many cells at a time, so the
 # float and complex temporaries stay a few MB, near cache size, however
@@ -176,7 +189,7 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     return Codebook(spec, tx, mode, beams, indices)
 
 
-def absorption_masks(spec: ArraySpec, sides=(2, 4, 8, 10)) -> list:
+def absorption_masks(spec: ArraySpec, sides=_SIDES) -> list:
     """Specs with only the top-left side x side block reflecting.
 
     Masks are nested: every element active for side s is active for s' > s.

@@ -29,6 +29,17 @@ import numpy as np
 
 from .errors import DomainError, NotFoundError, ParseError
 
+__all__ = [
+    "AbsorptionTable",
+    "BeampatternTable",
+    "load_column_mapping",
+    "read_absorption",
+    "read_beampattern",
+    "read_table",
+    "write_absorption",
+    "write_beampattern",
+]
+
 POWER_SANITY_FLOOR_DBM = -200.0
 
 
@@ -105,8 +116,8 @@ def _check_beams(beams: np.ndarray) -> None:
         raise DomainError("duplicate beams")
 
 
-def _nearest(values: np.ndarray, key: float, count: int = 3) -> list:
-    order = np.argsort(np.abs(values - key), kind="stable")[:count]
+def _nearest(values: np.ndarray, key: float) -> list:
+    order = np.argsort(np.abs(values - key), kind="stable")[:3]
     return [float(v) for v in values[order]]
 
 

@@ -4,6 +4,17 @@ Every type derives from `RisbeamError`, so one ``except RisbeamError`` sees
 them all, and keeps its builtin base, so ``except ValueError`` still works.
 """
 
+__all__ = [
+    "ConfigError",
+    "DomainError",
+    "FitDivergenceError",
+    "LobeTruncatedError",
+    "ModelFormatError",
+    "NotFoundError",
+    "ParseError",
+    "RisbeamError",
+]
+
 
 class RisbeamError(Exception):
     """Base of every error the toolkit raises on purpose."""

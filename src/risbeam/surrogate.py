@@ -36,6 +36,17 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
+# Batch rows and central-difference step of gradient_check.
+_CHECK_BATCH = 8
+_CHECK_STEP = 1e-5
+
+
+def _check_integers(spec, *names: str) -> None:
+    for name in names:
+        if not isinstance(getattr(spec, name), (int, np.integer)):
+            raise DomainError(
+                f"{name} must be an integer, got {getattr(spec, name)!r}")
+
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -46,6 +57,7 @@ class MlpSpec:
     input_dim: int = 3
 
     def __post_init__(self) -> None:
+        _check_integers(self, "hidden_layers", "hidden_width", "input_dim")
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
         if self.input_dim < 1:
@@ -71,6 +83,7 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, "epochs", "batch_size")
         if self.epochs < 0:
             raise DomainError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -401,23 +414,22 @@ def gradient_check(
     mlp_spec: MlpSpec = MlpSpec(),
     seed: int = 0,
     *,
-    batch_size: int = 8,
-    step: float = 1e-5,
     flip_sign: bool = False,
 ) -> float:
     """Max relative error of backprop against central finite differences.
 
     Runs on a randomly initialized model (including the output head) and a
-    random batch in normalized space. `flip_sign` negates the analytic
-    gradient first; a correct implementation then reports an error near 2,
-    which is the self-test that the check can actually catch a bug.
+    random batch of 8 rows in normalized space, with a step of 1e-5.
+    `flip_sign` negates the analytic gradient first; a correct
+    implementation then reports an error near 2, which is the self-test
+    that the check can actually catch a bug.
     """
     rng = np.random.default_rng(seed)
     params = _init_params(mlp_spec, rng, zero_head=False)
     for b in _layer_views(params, mlp_spec)[1]:
         b += rng.uniform(-0.1, 0.1, size=b.shape)
-    x = rng.uniform(-1.0, 1.0, size=(batch_size, mlp_spec.input_dim))
-    y = rng.uniform(-1.0, 1.0, size=(batch_size, 1))
+    x = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, mlp_spec.input_dim))
+    y = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, 1))
 
     _, grad = _gradients(params, mlp_spec, x, y)
     if flip_sign:
@@ -426,12 +438,12 @@ def gradient_check(
     worst = 0.0
     for i in range(params.size):
         keep = params[i]
-        params[i] = keep + step
+        params[i] = keep + _CHECK_STEP
         up, _ = _gradients(params, mlp_spec, x, y)
-        params[i] = keep - step
+        params[i] = keep - _CHECK_STEP
         down, _ = _gradients(params, mlp_spec, x, y)
         params[i] = keep
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * _CHECK_STEP)
         analytic = float(grad[i])
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)

@@ -3,6 +3,7 @@ these renderings exist so a campaign can be eyeballed without extra tools."""
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -17,15 +18,24 @@ _WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 48
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    if lo == hi:
-        return np.array([lo])
-    raw = (hi - lo) / count
-    magnitude = 10.0 ** np.floor(np.log10(raw))
-    for nice in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= nice * magnitude:
-            step = nice * magnitude
-            break
+def _normal(v: float) -> bool:
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
+def _ticks(lo: float, hi: float, axis: str) -> np.ndarray:
+    """Ticks at a round step over [lo, hi]; the span and the step must be
+    finite, positive, normal floats, or the ticks cannot be spaced."""
+    step = 0.0
+    if _normal(hi - lo):
+        raw = (hi - lo) / 5
+        magnitude = 10.0 ** np.floor(np.log10(raw))
+        for nice in (1.0, 2.0, 2.5, 5.0, 10.0):
+            if raw <= nice * magnitude:
+                step = nice * magnitude
+                break
+    if not _normal(step):
+        raise DomainError(f"{axis} axis span [{lo!r}, {hi!r}] is too narrow "
+                          "or too wide to plot")
     first = np.ceil(lo / step) * step
     return np.arange(first, hi + step * 1e-9, step)
 
@@ -92,7 +102,7 @@ def line_plot(
         f'height="{plot_h}" fill="none" stroke="#222"/>'
     )
     out.append(frame)
-    for tick in _ticks(x_lo, x_hi):
+    for tick in _ticks(x_lo, x_hi, "x"):
         px = sx(tick)
         out.append(
             f'<line x1="{px:.1f}" y1="{_MARGIN_T + plot_h}" x2="{px:.1f}" '
@@ -102,7 +112,7 @@ def line_plot(
             f'<text x="{px:.1f}" y="{_MARGIN_T + plot_h + 18}" '
             f'text-anchor="middle">{_fmt(tick)}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in _ticks(y_lo, y_hi, "y"):
         py = sy(tick)
         out.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" '

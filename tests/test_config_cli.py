@@ -389,6 +389,41 @@ class TestAnalyzeCommand:
         svg = (tmp_path / "beampattern.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_svg_alone_plots_the_cut(self, default_beampattern_csv, tmp_path,
+                                     capsys):
+        assert main(["analyze", str(default_beampattern_csv), "--svg",
+                     "--beam", "0,-3", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("svg: wrote")
+        assert [f.name for f in tmp_path.iterdir()] == ["beampattern.svg"]
+
+    def test_svg_alone_plots_absorption_widths(self, slice_absorption_csv,
+                                               tmp_path, capsys):
+        assert main(["analyze", str(slice_absorption_csv), "--svg",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("svg: wrote")
+        assert [f.name for f in tmp_path.iterdir()] == ["hpbw.svg"]
+
+    def test_negative_beam_in_equals_form(self, default_beampattern_csv,
+                                          tmp_path, capsys):
+        assert main(["analyze", str(default_beampattern_csv), "--hpbw",
+                     "--beam=-45,-3", "--out-dir", str(tmp_path)]) == 0
+        assert "beam (-45, -3)" in capsys.readouterr().out
+
+    def test_unplottable_span_fails_only_svg(self, default_beampattern_csv,
+                                             tmp_path, capsys):
+        table = read_table(default_beampattern_csv)
+        scaled = tmp_path / "t.csv"
+        write_beampattern(BeampatternTable(
+            table.beams, table.rotations * 1e306, table.power_dbm,
+            table.theta_t_deg), scaled)
+        out = tmp_path / "out"
+        assert main(["analyze", str(scaled), "--beam", "0,-3", "--smooth",
+                     "--localize", "--svg", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: svg: x axis span")
+        assert sorted(f.name for f in out.iterdir()) == [
+            "localization.csv", "smoothed.csv"]
+
     def test_smooth_keeps_theta_t(self, tmp_path, capsys):
         p = tmp_path / "tilted.csv"
         p.write_text("# theta_t=10\ntheta_n,phi_n,rot_-3,rot_0,rot_3\n"
@@ -543,6 +578,15 @@ class TestTrainPredictCommands:
         rows = out.read_text().splitlines()
         assert rows[0] == "theta_n,phi_n,theta_r,rsrp_dbm_pred"
         assert len(rows) == 1 + 9 * 3
+
+    def test_predict_negative_at_in_equals_form(self, small_beampattern_csv,
+                                                tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        main(["train", str(small_beampattern_csv), "--out", str(model_path),
+              "--epochs", "1", "--batch-size", "5"])
+        capsys.readouterr()
+        assert main(["predict", str(model_path), "--at=-10,0,0"]) == 0
+        assert capsys.readouterr().out.startswith("-10,0,0 -> ")
 
     def test_predict_without_inputs_exits_2(self, small_beampattern_csv,
                                             tmp_path, capsys):

@@ -67,10 +67,25 @@ class TestSpecs:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": math.nan}, {"learning_rate": math.inf},
         {"seed": -1}, {"seed": 1.5}, {"seed": None},
+        {"epochs": 1.5}, {"batch_size": 2.5},
     ])
     def test_train_spec_rejects(self, kwargs):
         with pytest.raises(DomainError, match=next(iter(kwargs))):
             TrainSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hidden_width": 2.5}, {"hidden_layers": 1.5}, {"input_dim": 3.0},
+    ])
+    def test_mlp_spec_rejects_non_integers(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            MlpSpec(**kwargs)
+
+    def test_specs_accept_numpy_integers(self):
+        mlp = MlpSpec(np.int64(1), np.int32(4), np.int64(3))
+        spec = TrainSpec(epochs=np.int64(1), batch_size=np.int32(5))
+        records = synthetic_records(20, np.random.default_rng(0))
+        model, _, _ = train(records, mlp, spec)
+        assert model.spec.layer_shapes() == [(3, 4), (4, 1)]
 
 
 class TestFlattenTable:

@@ -43,3 +43,17 @@ def test_validation(tmp_path):
         line_plot([([1.0, 2.0], [1.0, np.nan], "nan")], path)
     with pytest.raises(DomainError):
         line_plot([([1.0, 2.0, 3.0], [1.0, 2.0], "ragged")], path)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 5e-324, 1e-323], [0.0, 1.0, 2.0]),  # subnormal x span
+    ([0.0, 1.0, 2.0], [0.0, 5e-324, 0.0]),  # subnormal y span
+    ([-9e307, 9e307], [0.0, 1.0]),  # x span overflows
+    ([0.0, 1.0], [-1e308, 1.7e308]),  # y span overflows
+    ([1e20, 1e20], [0.0, 1.0]),  # the unit span of a flat x rounds away
+])
+def test_unplottable_span_is_domain_error(x, y, tmp_path):
+    path = tmp_path / "span.svg"
+    with pytest.raises(DomainError, match="axis span"):
+        line_plot([(x, y, "s")], path)
+    assert not path.exists()
