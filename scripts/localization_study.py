@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     codebook = build_codebook(spec, geometry.tx_dir, CodebookGrid())
     columns = geometry.rotations().size
 
-    quiet = sweep_beampattern(spec, codebook, geometry,
+    quiet = sweep_beampattern(codebook, geometry,
                               LinkBudget(sample_sigma_db=0.0), seed=0)
     for tol in (0.0, args.tolerance):
         rate = localization_success_rate(quiet, codebook, tolerance_deg=tol)
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     # effectively continuous phases: the noise-free ceiling
     dense = ArraySpec(10, 10, phase_set=uniform_phase_set(4096))
     dense_cb = build_codebook(dense, geometry.tx_dir, CodebookGrid())
-    dense_table = sweep_beampattern(dense, dense_cb, geometry,
+    dense_table = sweep_beampattern(dense_cb, geometry,
                                     LinkBudget(sample_sigma_db=0.0), seed=0)
     rate = localization_success_rate(dense_table, dense_cb, tolerance_deg=0.0)
     print(f"noise-free dense phases, tolerance 0: {rate:.6f}")
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
                         samples_per_point=args.samples)
     rates = []
     for seed in range(args.seeds):
-        table = sweep_beampattern(spec, codebook, geometry, budget, seed=seed)
+        table = sweep_beampattern(codebook, geometry, budget, seed=seed)
         rate = localization_success_rate(table, codebook,
                                          tolerance_deg=args.tolerance)
         rates.append(rate)

@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     geometry = ChamberGeometry()
     budget = LinkBudget(sample_sigma_db=args.sigma)
     codebook = build_codebook(spec, geometry.tx_dir, CodebookGrid())
-    table = sweep_beampattern(spec, codebook, geometry, budget, seed=0)
+    table = sweep_beampattern(codebook, geometry, budget, seed=0)
     records = flatten_table(table)
     print(f"{records.shape[0]} records from {len(codebook)} beams x "
           f"{table.rotations.size} rotations")

@@ -162,23 +162,9 @@ def _noise_means(shape: tuple, budget: LinkBudget, seed: int) -> np.ndarray:
     return out
 
 
-def _check_sweep(spec: ArraySpec, codebook: Codebook,
-                 geometry: ChamberGeometry, seed) -> int:
-    """Input checks shared by the sweeps; returns the validated seed.
-
-    The codebook must come from an array of the same layout, pitch and phase
-    set; its mask may differ, as absorption sweeps mask the array."""
+def _check_sweep(codebook: Codebook, geometry: ChamberGeometry, seed) -> int:
+    """Input checks shared by the sweeps; returns the validated seed."""
     seed = _check_seed(seed)
-    built = codebook.spec
-    if (built.nx, built.ny) != (spec.nx, spec.ny):
-        raise DomainError(
-            f"codebook was built for a different array size ({built.nx}x"
-            f"{built.ny}, not {spec.nx}x{spec.ny})")
-    if built.delta != spec.delta:
-        raise DomainError(f"codebook was built for element pitch "
-                          f"{built.delta:g}, not {spec.delta:g}")
-    if not np.array_equal(built.phase_set, spec.phase_set):
-        raise DomainError("codebook was built for a different phase set")
     if codebook.tx != geometry.tx_dir:
         raise DomainError(
             f"codebook tx {codebook.tx} does not match chamber tx "
@@ -194,8 +180,8 @@ def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     return np.round(power, POWER_DECIMALS)
 
 
-def _magnitudes(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
-                tx: Direction, rx_dirs: list) -> np.ndarray:
+def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
+                rx_dirs: list) -> np.ndarray:
     """|y| for every (config row, rx direction) pair.
 
     `indices` holds one row of phase-set indices per config; each is looked
@@ -209,7 +195,7 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
                          for rx in rx_dirs])            # (size, n_rx), conjugated
-    phasors = np.exp(1j * phase_set)
+    phasors = np.exp(1j * spec.phase_set)
     mag = np.empty((indices.shape[0], len(rx_dirs)))    # (n_cfg, n_rx)
     for rows in _row_blocks(*indices.shape, _PRODUCT_ROWS):
         excited = spec.mask * phasors[indices[rows]] * g
@@ -217,9 +203,8 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
     return mag
 
 
-def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
-                 tx: Direction, rx_dirs: list,
-                 budget: LinkBudget) -> np.ndarray:
+def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, tx: Direction,
+                 rx_dirs: list, budget: LinkBudget) -> np.ndarray:
     """Noise-free RSRP for every (config row, rx direction) pair.
 
     Same math as the scalar rsrp(), vectorized over both axes.
@@ -228,48 +213,47 @@ def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, phase_set: np.ndarray,
     if m == 0:
         return np.full((indices.shape[0], len(rx_dirs)),
                        float(budget.noise_floor_dbm))
-    mag = _magnitudes(spec, indices, phase_set, tx, rx_dirs)
+    mag = _magnitudes(spec, indices, tx, rx_dirs)
     with np.errstate(divide="ignore"):
         signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
     return _combine_with_floor(signal, budget.noise_floor_dbm)
 
 
-def sweep_beampattern(spec: ArraySpec, codebook: Codebook,
-                      geometry: ChamberGeometry, budget: LinkBudget,
-                      seed: int = 0) -> BeampatternTable:
+def sweep_beampattern(codebook: Codebook, geometry: ChamberGeometry,
+                      budget: LinkBudget, seed: int = 0) -> BeampatternTable:
     """Measure every codebook beam at every turntable rotation.
 
-    With sample_sigma_db = 0 the table is deterministic and identical for
-    every seed.  Cells are rounded to the dataset serialization precision,
-    so a table written to CSV reads back exactly equal.
+    The array, mask included, is the codebook's.  With sample_sigma_db = 0
+    the table is deterministic and identical for every seed.  Cells are
+    rounded to the dataset serialization precision, so a table written to
+    CSV reads back exactly equal.
     """
-    seed = _check_sweep(spec, codebook, geometry, seed)
+    seed = _check_sweep(codebook, geometry, seed)
     rotations = geometry.rotations()
     rx_dirs = [geometry.rx_dir(r) for r in rotations]
-    power = _rsrp_matrix(spec, codebook.indices, codebook.spec.phase_set,
-                         geometry.tx_dir, rx_dirs, budget)
+    power = _rsrp_matrix(codebook.spec, codebook.indices, geometry.tx_dir,
+                         rx_dirs, budget)
     return BeampatternTable(codebook.beams.copy(), rotations.astype(float),
                             _measured(power, budget, seed),
                             float(geometry.tx_dir.azimuth_deg))
 
 
-def sweep_absorption(spec: ArraySpec, codebook: Codebook,
-                     geometry: ChamberGeometry, budget: LinkBudget,
-                     seed: int = 0, sides=_SIDES) -> AbsorptionTable:
-    """Measure every codebook beam, boresight receiver, per active subarray.
+def sweep_absorption(codebook: Codebook, geometry: ChamberGeometry,
+                     budget: LinkBudget, seed: int = 0,
+                     sides=_SIDES) -> AbsorptionTable:
+    """Measure every codebook beam, boresight receiver, per active subarray
+    of the codebook's array; each subarray mask replaces the array's own.
 
     Columns follow `sides` in the given order; noise stream column indices
     do too.  The returned table only satisfies the published schema when
     sides are strictly increasing (duplicates are allowed in memory, e.g.
     for determinism checks, but will be rejected when written).
     """
-    seed = _check_sweep(spec, codebook, geometry, seed)
+    seed = _check_sweep(codebook, geometry, seed)
     rx = [geometry.rx_dir(0.0)]
-    columns = []
-    for masked in absorption_masks(spec, sides):
-        columns.append(_rsrp_matrix(masked, codebook.indices,
-                                    codebook.spec.phase_set, geometry.tx_dir,
-                                    rx, budget)[:, 0])
+    columns = [_rsrp_matrix(masked, codebook.indices, geometry.tx_dir, rx,
+                            budget)[:, 0]
+               for masked in absorption_masks(codebook.spec, sides)]
     counts = np.array([s * s for s in sides], dtype=int)
     return AbsorptionTable(codebook.beams.copy(), counts,
                            _measured(np.column_stack(columns), budget, seed))

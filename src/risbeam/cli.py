@@ -70,8 +70,7 @@ def _cmd_simulate(args) -> int:
     sweep, write = ((sweep_beampattern, write_beampattern)
                     if args.dataset == "beampattern"
                     else (sweep_absorption, write_absorption))
-    table = sweep(config.array, codebook, config.geometry, config.budget,
-                  seed=config.seed)
+    table = sweep(codebook, config.geometry, config.budget, seed=config.seed)
     path = _out_path(config, args.out, f"{args.dataset}.csv")
     write(table, path)
     shape = table.power_dbm.shape

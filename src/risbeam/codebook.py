@@ -122,6 +122,9 @@ class Codebook:
         beams = _as_beams(self.beams)
         _check_beams(beams)
         indices = np.asarray(self.indices)
+        if indices.dtype.kind not in "iu":
+            raise DomainError(
+                f"indices must be integers, got dtype {indices.dtype}")
         if indices.shape != (beams.shape[0], self.spec.size):
             raise DomainError(
                 f"indices must have shape ({beams.shape[0]}, {self.spec.size})")
@@ -215,7 +218,13 @@ def absorption_masks(spec: ArraySpec, sides=_SIDES) -> list:
 # beam's row are its 3-bit (or wider) phase indices.
 
 def write_codebook(codebook: Codebook, path) -> None:
+    """The file stores no mask, so a codebook with absorbing elements is
+    refused: reading it back would sweep a different array."""
     spec, tx = codebook.spec, codebook.tx
+    if not spec.mask.all():
+        raise DomainError(f"codebook array has absorbing elements ("
+                          f"{spec.size - spec.active_count} of {spec.size}); "
+                          "codebook files store no mask")
     meta = ("nx=%d ny=%d delta=%s frequency_hz=%s"
             " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s" % (
                 spec.nx, spec.ny, _fmt_exact(spec.delta),

@@ -193,12 +193,12 @@ class _Table:
         return TableSlice(self._labels.copy(), self.power_dbm[r].copy())
 
     def column(self, label) -> TableSlice:
-        key = self.axis_type(label)
+        key = float(label)  # exact: 16.9 is no count, nan matches nothing
         hits = np.nonzero(self._labels == key)[0]
         if hits.size == 0:
             raise NotFoundError(
                 f"{self.noun} {key:g} not in table; nearest "
-                f"{_nearest(self._labels.astype(float), float(key))}")
+                f"{_nearest(self._labels.astype(float), key)}")
         return TableSlice(self.beams.copy(), self.power_dbm[:, hits[0]].copy())
 
 

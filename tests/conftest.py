@@ -39,17 +39,15 @@ def default_codebook(default_spec, default_geometry):
 
 
 @pytest.fixture(scope="session")
-def quiet_beampattern(default_spec, default_codebook, default_geometry,
-                      quiet_budget):
-    return sweep_beampattern(default_spec, default_codebook, default_geometry,
-                             quiet_budget, seed=0)
+def quiet_beampattern(default_codebook, default_geometry, quiet_budget):
+    return sweep_beampattern(default_codebook, default_geometry, quiet_budget,
+                             seed=0)
 
 
 @pytest.fixture(scope="session")
-def quiet_absorption(default_spec, default_codebook, default_geometry,
-                     quiet_budget):
-    return sweep_absorption(default_spec, default_codebook, default_geometry,
-                            quiet_budget, seed=0)
+def quiet_absorption(default_codebook, default_geometry, quiet_budget):
+    return sweep_absorption(default_codebook, default_geometry, quiet_budget,
+                            seed=0)
 
 
 @pytest.fixture(scope="session")
@@ -66,10 +64,9 @@ def dense_codebook(dense_spec, default_geometry):
 
 
 @pytest.fixture(scope="session")
-def dense_beampattern(dense_spec, dense_codebook, default_geometry,
-                      quiet_budget):
-    return sweep_beampattern(dense_spec, dense_codebook, default_geometry,
-                             quiet_budget, seed=0)
+def dense_beampattern(dense_codebook, default_geometry, quiet_budget):
+    return sweep_beampattern(dense_codebook, default_geometry, quiet_budget,
+                             seed=0)
 
 
 @pytest.fixture()

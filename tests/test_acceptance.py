@@ -87,7 +87,7 @@ def test_criterion_04_steering_argmax_4x4():
                         ("dense", ArraySpec(4, 4,
                                             phase_set=uniform_phase_set(4096)))):
         codebook = build_codebook(spec, geometry.tx_dir, grid)
-        table = sweep_beampattern(spec, codebook, geometry, QUIET, seed=0)
+        table = sweep_beampattern(codebook, geometry, QUIET, seed=0)
         sweep_rows = np.argmax(table.power_dbm, axis=0)
         brute_rows = np.empty_like(sweep_rows)
         for col, rotation in enumerate(geometry.rotations()):
@@ -133,8 +133,7 @@ def test_criterion_05_uncompensated_elevation_offset(default_spec,
                                                      default_geometry):
     codebook = build_codebook(default_spec, default_geometry.tx_dir,
                               CodebookGrid(), "uncompensated")
-    table = sweep_beampattern(default_spec, codebook, default_geometry, QUIET,
-                              seed=0)
+    table = sweep_beampattern(codebook, default_geometry, QUIET, seed=0)
     rows = np.argmax(table.power_dbm, axis=0)
     elevations = codebook.beams[rows, 1]
     print(f"criterion 05: argmax elevations {sorted(set(elevations))}, "
@@ -246,8 +245,8 @@ def test_criterion_09_localization(dense_beampattern, dense_codebook,
     budget = LinkBudget()  # 0.5 dB sigma, 30 samples per point
     rates = []
     for seed in range(20):
-        noisy = sweep_beampattern(default_spec, default_codebook,
-                                  default_geometry, budget, seed=seed)
+        noisy = sweep_beampattern(default_codebook, default_geometry, budget,
+                                  seed=seed)
         rates.append(localization_success_rate(noisy, default_codebook,
                                                tolerance_deg=3.0))
     hits = [round(r * 61) for r in rates]

@@ -511,6 +511,26 @@ class TestCodebookIo:
                                                  r"the phase set \[0, 8\)"):
                 read_codebook(p)
 
+    @pytest.mark.parametrize("indices", [
+        np.array([[2.7, 7.9]]),  # would truncate to [[2, 7]]
+        np.array([[2.0, 7.0]]),
+        np.array([[True, False]]),  # would store 1 and 0
+    ], ids=["fractional", "integral-float", "bool"])
+    def test_non_integer_indices_rejected(self, indices):
+        with pytest.raises(DomainError, match="indices must be integers"):
+            Codebook(ArraySpec(1, 2), Direction(0, 0), MODE_TX_COMPENSATED,
+                     [(0, 0)], indices)
+
+    def test_masked_codebook_not_written(self, tmp_path):
+        spec = ArraySpec(2, 2, mask=[True, False, True, True])
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid((0, 0, 3), (0, 0, 3)))
+        p = tmp_path / "cb.csv"
+        with pytest.raises(DomainError,
+                           match=r"absorbing elements \(1 of 4\)"):
+            write_codebook(cb, p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("beam, message", [
         ("nan,0", "finite"),
         ("0,0", "duplicate beams"),  # repeats the first row's beam

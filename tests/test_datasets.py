@@ -135,8 +135,9 @@ class TestBeampatternTable:
             small_beampattern().row((1, 0))
 
     def test_missing_rotation(self):
-        with pytest.raises(NotFoundError):
-            small_beampattern().column(2.0)
+        for rotation in (2.0, 6.5, np.nan):
+            with pytest.raises(NotFoundError):
+                small_beampattern().column(rotation)
 
     def test_equality_is_by_value(self):
         assert small_beampattern() == small_beampattern()
@@ -161,8 +162,10 @@ class TestAbsorptionTable:
         t = small_absorption()
         labels, vals = t.column(16)
         np.testing.assert_array_equal(vals, [-66.0, -67.25])
-        with pytest.raises(NotFoundError):
-            t.column(25)
+        # labels match exactly: no truncation to a count, nan matches none
+        for missing in (25, 16.9, np.nan):
+            with pytest.raises(NotFoundError):
+                t.column(missing)
 
 
 class TestRoundTrips:

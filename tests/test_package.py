@@ -2,6 +2,7 @@
 names once, and `risbeam` re-exports the modules' lists."""
 
 import importlib
+import inspect
 import pkgutil
 
 import risbeam
@@ -30,6 +31,12 @@ FROZEN_NAMES = frozenset({
     "sweep_absorption", "sweep_beampattern", "train", "uniform_phase_set",
     "write_absorption", "write_beampattern", "write_codebook",
 })
+
+# Parameters of the public callables whose signature `inspect.signature`
+# reads; exceptions without an __init__ of their own have none.  A change
+# that moves this count says why in CHANGES.md, so that a new knob shows up
+# in review.
+SETTABLE_PARAMETERS = 173
 
 
 def _module(name):
@@ -60,3 +67,16 @@ def test_exports_are_the_module_objects():
 def test_earlier_names_kept():
     assert len(FROZEN_NAMES) == 66
     assert FROZEN_NAMES <= set(risbeam.__all__)
+
+
+def test_public_settable_parameter_count():
+    count = 0
+    for name in risbeam.__all__:
+        obj = getattr(risbeam, name)
+        if not callable(obj):
+            continue
+        try:
+            count += len(inspect.signature(obj).parameters)
+        except ValueError:
+            pass
+    assert count == SETTABLE_PARAMETERS
