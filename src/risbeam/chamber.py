@@ -18,8 +18,8 @@ import numpy as np
 
 from .array_model import (INDEX_LIMIT, ArraySpec, Direction, SPEED_OF_LIGHT,
                           element_phase_profile, received_signal)
-from .codebook import (_SIDES, Codebook, _axis_values, _row_blocks,
-                       absorption_masks)
+from .codebook import (_SIDES, Codebook, _axis_values, _refuse_absorbing,
+                       _row_blocks, absorption_masks)
 from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
 
@@ -242,7 +242,7 @@ def sweep_absorption(codebook: Codebook, geometry: ChamberGeometry,
                      budget: LinkBudget, seed: int = 0,
                      sides=_SIDES) -> AbsorptionTable:
     """Measure every codebook beam, boresight receiver, per active subarray
-    of the codebook's array; each subarray mask replaces the array's own.
+    of the codebook's array, which may have no absorbing elements.
 
     Columns follow `sides` in the given order; noise stream column indices
     do too.  The returned table only satisfies the published schema when
@@ -250,6 +250,7 @@ def sweep_absorption(codebook: Codebook, geometry: ChamberGeometry,
     for determinism checks, but will be rejected when written).
     """
     seed = _check_sweep(codebook, geometry, seed)
+    _refuse_absorbing(codebook.spec, "subarray masks replace the array's own")
     rx = [geometry.rx_dir(0.0)]
     columns = [_rsrp_matrix(masked, codebook.indices, geometry.tx_dir, rx,
                             budget)[:, 0]

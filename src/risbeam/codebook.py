@@ -212,6 +212,12 @@ def absorption_masks(spec: ArraySpec, sides=_SIDES) -> list:
     return out
 
 
+def _refuse_absorbing(spec: ArraySpec, reason: str) -> None:
+    if not spec.mask.all():
+        raise DomainError("codebook array has absorbing elements (%d of %d); %s"
+                          % (spec.size - spec.active_count, spec.size, reason))
+
+
 # ---------------------------------------------------------------------------
 # CSV export / import in the dataset beam-row layout.  The comment line
 # carries everything needed to rebuild the codebook object; the cells of a
@@ -221,10 +227,7 @@ def write_codebook(codebook: Codebook, path) -> None:
     """The file stores no mask, so a codebook with absorbing elements is
     refused: reading it back would sweep a different array."""
     spec, tx = codebook.spec, codebook.tx
-    if not spec.mask.all():
-        raise DomainError(f"codebook array has absorbing elements ("
-                          f"{spec.size - spec.active_count} of {spec.size}); "
-                          "codebook files store no mask")
+    _refuse_absorbing(spec, "codebook files store no mask")
     meta = ("nx=%d ny=%d delta=%s frequency_hz=%s"
             " tx_azimuth=%s tx_elevation=%s mode=%s phase_set=%s" % (
                 spec.nx, spec.ny, _fmt_exact(spec.delta),

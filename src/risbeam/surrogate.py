@@ -31,6 +31,10 @@ __all__ = [
 
 _MODEL_MAGIC = "risbeam-mlp v1"
 
+# The network's inputs: (beam azimuth, beam elevation, rotation), the first
+# three columns of the records flatten_table lays out.
+_INPUTS = 3
+
 # Adam moment decays and denominator guard (Kingma & Ba 2015 defaults).
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -54,14 +58,11 @@ class MlpSpec:
 
     hidden_layers: int = 3
     hidden_width: int = 16
-    input_dim: int = 3
 
     def __post_init__(self) -> None:
-        _check_integers(self, "hidden_layers", "hidden_width", "input_dim")
+        _check_integers(self, "hidden_layers", "hidden_width")
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
-        if self.input_dim < 1:
-            raise DomainError("input_dim must be >= 1")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         return list(_shapes(self))
@@ -71,7 +72,12 @@ def _shapes(spec: MlpSpec):
     """(fan_in, fan_out) per layer, lazily: a spec read from a file may
     declare more layers than memory holds."""
     hidden = itertools.repeat(spec.hidden_width, spec.hidden_layers)
-    return itertools.pairwise(itertools.chain([spec.input_dim], hidden, [1]))
+    return itertools.pairwise(itertools.chain([_INPUTS], hidden, [1]))
+
+
+def _size(spec: MlpSpec) -> int:
+    """Length of the flat parameter vector: every layer's weights and biases."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _shapes(spec))
 
 
 @dataclass(frozen=True)
@@ -100,34 +106,27 @@ class TrainSpec:
 
 @dataclass(eq=False)
 class MlpModel:
-    """Trained network plus the normalization constants baked in at fit time."""
+    """Trained network plus the normalization constants baked in at fit time;
+    `weights` and `biases` are per-layer views of the flat `params`."""
 
     spec: MlpSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     input_lo: np.ndarray
     input_hi: np.ndarray
     target_mean: float
     target_std: float
 
     def __post_init__(self) -> None:
-        shapes = self.spec.layer_shapes()
-        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
-            raise DomainError("layer count does not match the declared shape")
-        for (fan_in, fan_out), w, b in zip(shapes, self.weights, self.biases):
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise DomainError(
-                    f"layer shape mismatch: got {w.shape}/{b.shape}, "
-                    f"want {(fan_in, fan_out)}"
-                )
-        if not all(np.all(np.isfinite(a)) for a in (*self.weights, *self.biases)):
-            raise DomainError("weights and biases must be finite")
+        self.params = np.asarray(self.params, dtype=float)
+        size = _size(self.spec)
+        if self.params.shape != (size,) or not np.all(np.isfinite(self.params)):
+            raise DomainError(f"params must be {size} finite values, "
+                              f"got shape {self.params.shape}")
+        self.weights, self.biases = _layer_views(self.params, self.spec)
         self.input_lo = np.asarray(self.input_lo, dtype=float)
         self.input_hi = np.asarray(self.input_hi, dtype=float)
-        if self.input_lo.shape != (self.spec.input_dim,) or self.input_hi.shape != (
-            self.spec.input_dim,
-        ):
-            raise DomainError("normalization constants do not match input_dim")
+        if self.input_lo.shape != (_INPUTS,) or self.input_hi.shape != (_INPUTS,):
+            raise DomainError(f"normalization constants need {_INPUTS} inputs")
         finite = (
             np.all(np.isfinite(self.input_lo))
             and np.all(np.isfinite(self.input_hi))
@@ -158,8 +157,8 @@ class MlpModel:
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
-        if raw.ndim != 2 or raw.shape[1] != self.spec.input_dim:
-            raise DomainError(f"expected (n, {self.spec.input_dim}) inputs, got {raw.shape}")
+        if raw.ndim != 2 or raw.shape[1] != _INPUTS:
+            raise DomainError(f"expected (n, {_INPUTS}) inputs, got {raw.shape}")
         out = self.forward(self.normalize_inputs(raw))
         return out[:, 0] * self.target_std + self.target_mean
 
@@ -204,7 +203,7 @@ def _layer_views(
     """
     weights, biases = [], []
     start = 0
-    for fan_in, fan_out in spec.layer_shapes():
+    for fan_in, fan_out in _shapes(spec):
         stop = start + fan_in * fan_out
         weights.append(flat[start:stop].reshape(fan_in, fan_out))
         biases.append(flat[stop : stop + fan_out])
@@ -217,7 +216,7 @@ def _init_params(
 ) -> np.ndarray:
     """Flat parameter vector: Glorot-uniform weights, zero biases."""
     shapes = spec.layer_shapes()
-    flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes))
+    flat = np.zeros(_size(spec))
     weights, _ = _layer_views(flat, spec)
     for i, ((fan_in, fan_out), w) in enumerate(zip(shapes, weights)):
         if not (zero_head and i == len(shapes) - 1):
@@ -310,10 +309,9 @@ def train(
     every epoch.
     """
     records = np.asarray(records, dtype=float)
-    if records.ndim != 2 or records.shape[1] != mlp_spec.input_dim + 1:
+    if records.ndim != 2 or records.shape[1] != _INPUTS + 1:
         raise DomainError(
-            f"records must be (n, {mlp_spec.input_dim + 1}), got {records.shape}"
-        )
+            f"records must be (n, {_INPUTS + 1}), got {records.shape}")
     if not np.all(np.isfinite(records)):
         raise DomainError("records contain non-finite values")
     if records.shape[0] < 2 * train_spec.batch_size:
@@ -345,17 +343,8 @@ def train(
     rng = np.random.default_rng(train_spec.seed)
     rng.permutation(records.shape[0])  # replay the split draw
     params = _init_params(mlp_spec, rng, zero_head=True)
-    weights, biases = _layer_views(params, mlp_spec)
-
-    model = MlpModel(
-        spec=mlp_spec,
-        weights=weights,
-        biases=biases,
-        input_lo=lo,
-        input_hi=hi,
-        target_mean=mean,
-        target_std=std,
-    )
+    # model.params is params, so the in-place Adam steps below train it
+    model = MlpModel(mlp_spec, params, lo, hi, mean, std)
     x = model.normalize_inputs(train_x_raw)
     y = ((train_y_raw - mean) / std)[:, None]
 
@@ -385,8 +374,7 @@ def train(
         for x_batch, y_batch, backprop in batches:
             backprop(x_batch, y_batch)
             step += 1
-            # Adam, in place; the model's weights and biases are views of
-            # params.  params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            # Adam, in place: params -= lr * (m / c1) / (sqrt(v / c2) + eps)
             m *= b1
             np.multiply(grad, 1.0 - b1, out=t1)
             m += t1
@@ -428,7 +416,7 @@ def gradient_check(
     params = _init_params(mlp_spec, rng, zero_head=False)
     for b in _layer_views(params, mlp_spec)[1]:
         b += rng.uniform(-0.1, 0.1, size=b.shape)
-    x = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, mlp_spec.input_dim))
+    x = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, _INPUTS))
     y = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, 1))
 
     _, grad = _gradients(params, mlp_spec, x, y)
@@ -457,8 +445,8 @@ def _layout(spec: MlpSpec):
     input_lo, input_hi, target_mean, target_std and the flat parameter
     vector.  Lazy, so a spec asking for more lines than a file has fails
     when the file runs out."""
-    yield "input_lo", spec.input_dim
-    yield "input_hi", spec.input_dim
+    yield "input_lo", _INPUTS
+    yield "input_hi", _INPUTS
     yield "target_mean", 1
     yield "target_std", 1
     for i, (fan_in, fan_out) in enumerate(_shapes(spec)):
@@ -471,12 +459,11 @@ def _layout(spec: MlpSpec):
 def save_model(model: MlpModel, path) -> None:
     """Versioned text serialization; identical models produce identical bytes."""
     spec = model.spec
-    values = np.concatenate(
-        [model.input_lo, model.input_hi, [model.target_mean, model.target_std]]
-        + [a.reshape(-1) for w, b in zip(model.weights, model.biases) for a in (w, b)])
+    values = np.concatenate([model.input_lo, model.input_hi,
+                             [model.target_mean, model.target_std], model.params])
     text = map(_fmt_exact, values.tolist())
     lines = [_MODEL_MAGIC, f"spec {spec.hidden_layers} {spec.hidden_width} "
-                           f"{spec.input_dim} 1 tanh"]
+                           f"{_INPUTS} 1 tanh"]
     lines += (" ".join([prefix, *itertools.islice(text, count)])
               for prefix, count in _layout(spec))
     _write_lines(path, lines)
@@ -494,13 +481,14 @@ def load_model(path) -> MlpModel:
     if len(parts) != 6:
         raise ModelFormatError(f"spec line has {len(parts)} fields, want 6")
     try:
-        spec = MlpSpec(*map(int, parts[1:4]))
-        head = int(parts[4]), parts[5]
+        spec = MlpSpec(*map(int, parts[1:3]))
+        head = int(parts[3]), int(parts[4]), parts[5]
     except (ValueError, DomainError) as exc:
         raise ModelFormatError(f"bad spec line: {exc}") from exc
-    if head != (1, "tanh"):
-        raise ModelFormatError(f"bad spec line {lines[1]!r}: the network has "
-                               "tanh hidden layers and one output ('1 tanh')")
+    if head != (_INPUTS, 1, "tanh"):
+        raise ModelFormatError(
+            f"bad spec line {lines[1]!r}: the network has {_INPUTS} inputs, "
+            f"tanh hidden layers and one output ('{_INPUTS} 1 tanh')")
 
     values: list[float] = []
     index = 2
@@ -522,9 +510,9 @@ def load_model(path) -> MlpModel:
     if any(line.strip() for line in lines[index:]):
         raise ModelFormatError(f"line {index + 1}: trailing content after last layer")
 
-    flat, n = np.array(values), spec.input_dim
+    flat, n = np.array(values), _INPUTS
     try:
-        return MlpModel(spec, *_layer_views(flat[2 * n + 2 :], spec), flat[:n],
-                        flat[n : 2 * n], float(flat[2 * n]), float(flat[2 * n + 1]))
+        return MlpModel(spec, flat[2 * n + 2 :], flat[:n], flat[n : 2 * n],
+                        float(flat[2 * n]), float(flat[2 * n + 1]))
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from exc

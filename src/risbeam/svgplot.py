@@ -40,6 +40,11 @@ def _ticks(lo: float, hi: float, axis: str) -> np.ndarray:
     return np.arange(first, hi + step * 1e-9, step)
 
 
+def _escape(text: str) -> str:
+    # not xml.sax.saxutils.escape, whose import adds ~7 MB to peak RSS
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return "%g" % (0.0 + round(v, 10))
 
@@ -95,7 +100,7 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     frame = (
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
@@ -125,13 +130,13 @@ def line_plot(
     if x_label:
         out.append(
             f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{x_label}</text>'
+            f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         cy = _MARGIN_T + plot_h / 2
         out.append(
             f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {cy:.1f})">{y_label}</text>'
+            f'transform="rotate(-90 14 {cy:.1f})">{_escape(y_label)}</text>'
         )
     for k, (x, y, label) in enumerate(pairs):
         color = _PALETTE[k % len(_PALETTE)]
@@ -147,6 +152,6 @@ def line_plot(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
-            out.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
+            out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>')
     out.append("</g></svg>")
     _write_lines(path, out)

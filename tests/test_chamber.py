@@ -323,6 +323,17 @@ class TestSweepAbsorption:
                                  quiet_budget, sides=(3, 5))
         np.testing.assert_array_equal(table.active_counts, [9, 25])
 
+    def test_codebook_with_absorbing_elements_refused(self, default_geometry,
+                                                      quiet_budget):
+        # each subarray mask would replace the array's, so element 0 would
+        # reflect again in every column
+        spec = ArraySpec(4, 4)
+        masked = spec.with_mask(np.arange(spec.size) != 0)
+        cb = build_codebook(masked, default_geometry.tx_dir, ONE_BEAM)
+        with pytest.raises(DomainError, match=r"absorbing elements \(1 of 16\)"):
+            sweep_absorption(cb, default_geometry, quiet_budget, sides=(2, 4))
+        sweep_beampattern(cb, default_geometry, quiet_budget)  # honours it
+
 
 class TestBruteForceAgreement:
     def test_sweep_matches_per_cell_rsrp(self, default_geometry,

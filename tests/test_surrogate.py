@@ -15,6 +15,7 @@ from risbeam.surrogate import (
     _ADAM_BETA1,
     _ADAM_BETA2,
     _ADAM_EPS,
+    _INPUTS,
     MlpModel,
     MlpSpec,
     TrainSpec,
@@ -50,8 +51,6 @@ class TestSpecs:
             MlpSpec(hidden_layers=0)
         with pytest.raises(DomainError):
             MlpSpec(hidden_width=0)
-        with pytest.raises(DomainError):
-            MlpSpec(input_dim=0)
 
     def test_train_spec_validation(self):
         with pytest.raises(DomainError):
@@ -74,14 +73,14 @@ class TestSpecs:
             TrainSpec(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"hidden_width": 2.5}, {"hidden_layers": 1.5}, {"input_dim": 3.0},
+        {"hidden_width": 2.5}, {"hidden_layers": 1.5},
     ])
     def test_mlp_spec_rejects_non_integers(self, kwargs):
         with pytest.raises(DomainError, match=next(iter(kwargs))):
             MlpSpec(**kwargs)
 
     def test_specs_accept_numpy_integers(self):
-        mlp = MlpSpec(np.int64(1), np.int32(4), np.int64(3))
+        mlp = MlpSpec(np.int64(1), np.int32(4))
         spec = TrainSpec(epochs=np.int64(1), batch_size=np.int32(5))
         records = synthetic_records(20, np.random.default_rng(0))
         model, _, _ = train(records, mlp, spec)
@@ -173,12 +172,12 @@ def reference_gradients(weights, biases, x, y):
 class TestGradients:
     def test_single_neuron_closed_form(self):
         # one tanh unit then a linear head: every gradient is hand-checkable
-        w1, b1, w2, b2 = 0.7, -0.2, 1.3, 0.4
-        spec = MlpSpec(hidden_layers=1, hidden_width=1, input_dim=1)
-        params = np.array([w1, b1, w2, b2])  # flat layout: w, b per layer
-        x = np.array([[0.5], [-1.0]])
+        w1, b1, w2, b2 = np.array([0.7, -0.4, 0.25]), -0.2, 1.3, 0.4
+        spec = MlpSpec(hidden_layers=1, hidden_width=1)
+        params = np.array([*w1, b1, w2, b2])  # flat layout: w, b per layer
+        x = np.array([[0.5, 0.1, -0.3], [-1.0, 0.6, 0.2]])
         y = np.array([[0.3], [-0.6]])
-        a1 = np.tanh(w1 * x + b1)
+        a1 = np.tanh(x @ w1[:, None] + b1)
         out = w2 * a1 + b2
         loss, grad = _gradients(params, spec, x, y)
         grad_w, grad_b = _layer_views(grad, spec)
@@ -187,7 +186,8 @@ class TestGradients:
         assert grad_w[1][0, 0] == pytest.approx(float((a1 * delta).sum()))
         assert grad_b[1][0] == pytest.approx(float(delta.sum()))
         hidden_delta = delta * w2 * (1 - a1 ** 2)
-        assert grad_w[0][0, 0] == pytest.approx(float((x * hidden_delta).sum()))
+        np.testing.assert_allclose(grad_w[0][:, 0],
+                                   (x * hidden_delta).sum(axis=0))
         assert grad_b[0][0] == pytest.approx(float(hidden_delta.sum()))
 
     @settings(max_examples=60, deadline=None)
@@ -198,7 +198,7 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         params = _init_params(spec, rng, zero_head=False)
         params += rng.uniform(-0.1, 0.1, size=params.shape)
-        x = rng.uniform(-1.0, 1.0, size=(rows, spec.input_dim))
+        x = rng.uniform(-1.0, 1.0, size=(rows, _INPUTS))
         y = rng.uniform(-1.0, 1.0, size=(rows, 1))
         weights, biases = _layer_views(params.copy(), spec)
         ref_loss, ref_w, ref_b = reference_gradients(weights, biases, x, y)
@@ -233,7 +233,7 @@ def reference_train_params(records, mlp_spec, train_spec):
     rng.permutation(records.shape[0])
     params = _init_params(mlp_spec, rng, zero_head=True)
     weights, biases = _layer_views(params, mlp_spec)
-    model = MlpModel(mlp_spec, weights, biases, x_raw.min(axis=0),
+    model = MlpModel(mlp_spec, params, x_raw.min(axis=0),
                      x_raw.max(axis=0), float(y_raw.mean()), std)
     x = model.normalize_inputs(x_raw)
     y = ((y_raw - model.target_mean) / std)[:, None]
@@ -267,6 +267,14 @@ def flat_params(model):
                            zip(model.weights, model.biases) for a in (w, b)])
 
 
+def assert_layers_view_params(model):
+    """Writing model.params shows through every weight and bias array."""
+    model.params[:] = np.arange(model.params.size)
+    assert np.array_equal(flat_params(model), model.params)
+    assert all(np.shares_memory(a, model.params)
+               for a in (*model.weights, *model.biases))
+
+
 def records_for_train_rows(train_rows, split_fraction, rng):
     """Synthetic records whose split leaves exactly `train_rows` to train on."""
     n = next(k for k in itertools.count(train_rows)
@@ -297,6 +305,7 @@ class TestTrainMatchesReference:
                                                                 spec)
         assert np.array_equal(flat_params(model), ref_params)
         assert (train_nmse, val_nmse) == (ref_train, ref_val)
+        assert_layers_view_params(model)
 
     def test_default_spec_equals_reference(self, rng):
         # 3x16 at batch 100 with a short last batch of 40 rows
@@ -569,24 +578,38 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="1 tanh"):
             load_model(p)
 
+    @pytest.mark.parametrize("inputs", [2, 4])
+    def test_other_input_count_rejected(self, inputs, tmp_path):
+        # a file laid out for `inputs` inputs throughout, which loads when
+        # that count is 3: only the spec line's input count is wrong
+        def write(n):
+            p = tmp_path / f"model{n}.txt"
+            p.write_text(f"risbeam-mlp v1\nspec 1 2 {n} 1 tanh\n"
+                         f"input_lo{' 0' * n}\ninput_hi{' 1' * n}\n"
+                         "target_mean 0\ntarget_std 1\n"
+                         f"layer 0 {n} 2\n" + "w 0.1 0.2\n" * n + "b 0 0\n"
+                         "layer 1 2 1\nw 1\nw 0\nb 0\n")
+            return p
+
+        assert load_model(write(3)).spec == MlpSpec(1, 2)
+        with pytest.raises(ModelFormatError, match="3 1 tanh"):
+            load_model(write(inputs))
+
     @settings(max_examples=60, deadline=None)
-    @given(layers=st.integers(1, 3), width=st.integers(1, 4),
-           inputs=st.integers(1, 3), data=st.data())
-    def test_layout_round_trip(self, layers, width, inputs, data):
-        spec = MlpSpec(hidden_layers=layers, hidden_width=width,
-                       input_dim=inputs)
+    @given(layers=st.integers(1, 3), width=st.integers(1, 4), data=st.data())
+    def test_layout_round_trip(self, layers, width, data):
+        spec = MlpSpec(hidden_layers=layers, hidden_width=width)
         finite = st.floats(allow_nan=False, allow_infinity=False)
         size = sum((fan_in + 1) * fan_out
                    for fan_in, fan_out in spec.layer_shapes())
         params = np.array(data.draw(st.lists(finite, min_size=size,
                                              max_size=size)))
-        lo, hi = (np.array(data.draw(st.lists(finite, min_size=inputs,
-                                              max_size=inputs)))
+        lo, hi = (np.array(data.draw(st.lists(finite, min_size=_INPUTS,
+                                              max_size=_INPUTS)))
                   for _ in range(2))
         std = data.draw(st.floats(min_value=0.0, exclude_min=True,
                                   allow_infinity=False))
-        model = MlpModel(spec, *_layer_views(params, spec), lo, hi,
-                         data.draw(finite), std)
+        model = MlpModel(spec, params, lo, hi, data.draw(finite), std)
         with tempfile.TemporaryDirectory() as d:
             p1, p2 = Path(d) / "a.txt", Path(d) / "b.txt"
             save_model(model, p1)
@@ -595,32 +618,34 @@ class TestModelIo:
             assert p1.read_bytes() == p2.read_bytes()
             # the closed-form line count, an oracle independent of _layout
             assert (len(p1.read_text().splitlines())
-                    == 8 + inputs + layers * (width + 2))
+                    == 8 + _INPUTS + layers * (width + 2))
         assert back.spec == spec
         assert flat_params(back).tobytes() == params.tobytes()
         assert back.input_lo.tobytes() == lo.tobytes()
         assert back.input_hi.tobytes() == hi.tobytes()
         assert (np.array([back.target_mean, back.target_std]).tobytes()
                 == np.array([model.target_mean, std]).tobytes())
-        # the loaded weights and biases are views of one vector
-        assert len({id(a.base) for a in (*back.weights, *back.biases)}) == 1
+        assert_layers_view_params(back)
 
 
 def test_model_shape_validation():
-    spec = MlpSpec(hidden_layers=1, hidden_width=2, input_dim=1)
-    with pytest.raises(DomainError, match="layer count"):
-        MlpModel(spec=spec, weights=[np.zeros((1, 2))], biases=[np.zeros(2)],
-                 input_lo=np.zeros(1), input_hi=np.ones(1),
-                 target_mean=0.0, target_std=1.0)
+    spec = MlpSpec(hidden_layers=1, hidden_width=2)  # 11 parameters
+
+    def model(params, std=1.0):
+        return MlpModel(spec, params, np.zeros(3), np.ones(3), 0.0, std)
+
+    for params in (np.zeros(10), np.zeros(12), np.zeros((11, 1)),
+                   [0.0] * 10 + [math.nan], [0.0] * 10 + [-math.inf]):
+        with pytest.raises(DomainError, match="params must be 11 finite"):
+            model(params)
     with pytest.raises(DomainError, match="std"):
-        MlpModel(spec=spec,
-                 weights=[np.zeros((1, 2)), np.zeros((2, 1))],
-                 biases=[np.zeros(2), np.zeros(1)],
-                 input_lo=np.zeros(1), input_hi=np.ones(1),
-                 target_mean=0.0, target_std=0.0)
-    with pytest.raises(DomainError, match="finite"):
-        MlpModel(spec=spec,
-                 weights=[np.zeros((1, 2)), np.zeros((2, 1))],
-                 biases=[np.array([0.0, np.inf]), np.zeros(1)],
-                 input_lo=np.zeros(1), input_hi=np.ones(1),
-                 target_mean=0.0, target_std=1.0)
+        model(np.zeros(11), std=0.0)
+
+
+def test_model_params_from_a_list():
+    model = MlpModel(MlpSpec(hidden_layers=1, hidden_width=2),
+                     [float(i) for i in range(11)], np.zeros(3), np.ones(3),
+                     0.0, 1.0)
+    assert model.params.dtype == np.float64
+    assert [w.shape for w in model.weights] == [(3, 2), (2, 1)]
+    assert np.array_equal(flat_params(model), np.arange(11.0))

@@ -19,9 +19,11 @@ def _valid_text() -> str:
     spec = MlpSpec(hidden_layers=2, hidden_width=3)
     rng = np.random.default_rng(0)
     shapes = spec.layer_shapes()
-    model = MlpModel(spec, [rng.normal(size=s) for s in shapes],
-                     [rng.normal(size=s[1]) for s in shapes],
-                     np.array([-90.0, -45.0, -90.0]),
+    weights = [rng.normal(size=s) for s in shapes]
+    biases = [rng.normal(size=s[1]) for s in shapes]
+    params = np.concatenate([a.ravel() for w, b in zip(weights, biases)
+                             for a in (w, b)])
+    model = MlpModel(spec, params, np.array([-90.0, -45.0, -90.0]),
                      np.array([90.0, 45.0, 90.0]), -71.5, 6.25)
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "model.txt"

@@ -18,6 +18,16 @@ def test_writes_well_formed_svg(tmp_path):
     assert "t" in texts and "cut" in texts
 
 
+def test_markup_characters_escaped(tmp_path):
+    x = np.arange(5.0)
+    path = tmp_path / "escaped.svg"
+    texts = {"title": "P&L", "x_label": "x < 1", "y_label": "y > 0 & 'q'"}
+    line_plot([(x, x, "a<b & c"), (x, -x, '"d"')], path, **texts)
+    root = ET.fromstring(path.read_text())
+    read = [el.text for el in root.iter() if el.text]
+    assert set(texts.values()) | {"a<b & c", '"d"'} <= set(read)
+
+
 def test_deterministic_bytes(tmp_path):
     x = np.arange(10.0)
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
