@@ -191,14 +191,27 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
     the last block.  So no block is a one-row matrix-vector product, whose
     sums round differently, and every block starts on the kernels' row
     unroll: each |y| keeps the bits of one product over all rows.
+
+    Every block is gathered into the head of one buffer sized to the
+    largest block and scaled in place; IEEE products commute, so this
+    keeps the bits of ``spec.mask * phasors[indices[rows]] * g``.
     """
     g = np.exp(1j * element_phase_profile(spec, tx))
-    h = np.column_stack([np.exp(-1j * element_phase_profile(spec, rx))
-                         for rx in rx_dirs])            # (size, n_rx), conjugated
+    h = np.empty((spec.size, len(rx_dirs)), dtype=complex)  # conjugated
+    for col, rx in enumerate(rx_dirs):
+        h[:, col] = np.exp(-1j * element_phase_profile(spec, rx))
     phasors = np.exp(1j * spec.phase_set)
     mag = np.empty((indices.shape[0], len(rx_dirs)))    # (n_cfg, n_rx)
-    for rows in _row_blocks(*indices.shape, _PRODUCT_ROWS):
-        excited = spec.mask * phasors[indices[rows]] * g
+    blocks = _row_blocks(*indices.shape, _PRODUCT_ROWS)
+    buf = np.empty((max((b.stop - b.start for b in blocks), default=0),
+                    spec.size), dtype=complex)
+    for rows in blocks:
+        excited = buf[:rows.stop - rows.start]
+        # Codebook validated the indices, so clipping changes none; unlike
+        # the default mode it writes to `out` without a buffered copy
+        np.take(phasors, indices[rows], out=excited, mode="clip")
+        excited *= spec.mask
+        excited *= g
         np.abs(excited @ h, out=mag[rows])
     return mag
 

@@ -55,9 +55,9 @@ def _row_blocks(rows: int, size: int, unit: int = 1) -> list:
 
 
 def _index_type(phase_set: np.ndarray) -> type:
-    # int16 covers the realistic 3-bit sets; oversized phase sets (used as
-    # near-continuous references) need the wider type.
-    return np.int16 if phase_set.size <= 2**15 else np.int32
+    # the narrowest unsigned type holding every index: uint8 for the 3-bit
+    # sets, wider for the near-continuous reference sets
+    return np.min_scalar_type(phase_set.size - 1).type
 
 
 def _axis_values(name: str, lo, hi, step) -> np.ndarray:
@@ -128,8 +128,10 @@ class Codebook:
         if indices.shape != (beams.shape[0], self.spec.size):
             raise DomainError(
                 f"indices must have shape ({beams.shape[0]}, {self.spec.size})")
-        # checked before the cast, which would wrap e.g. 65536 to 0 in int16
-        if np.any(indices < 0) or np.any(indices >= self.spec.phase_set.size):
+        # checked before the cast, which would wrap e.g. 256 to 0 in uint8;
+        # min and max allocate nothing index-sized
+        if indices.size and (indices.min() < 0
+                             or indices.max() >= self.spec.phase_set.size):
             raise DomainError("indices outside the phase set")
         indices = indices.astype(_index_type(self.spec.phase_set), copy=False)
         object.__setattr__(self, "beams", beams)

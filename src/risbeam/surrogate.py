@@ -104,10 +104,11 @@ class TrainSpec:
                 f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Trained network plus the normalization constants baked in at fit time;
-    `weights` and `biases` are per-layer views of the flat `params`."""
+    `weights` and `biases` are per-layer views of the flat `params`, which
+    is why no field can be rebound."""
 
     spec: MlpSpec
     params: np.ndarray
@@ -117,24 +118,28 @@ class MlpModel:
     target_std: float
 
     def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=float)
+        params = np.asarray(self.params, dtype=float)
         size = _size(self.spec)
-        if self.params.shape != (size,) or not np.all(np.isfinite(self.params)):
+        if params.shape != (size,) or not np.all(np.isfinite(params)):
             raise DomainError(f"params must be {size} finite values, "
-                              f"got shape {self.params.shape}")
-        self.weights, self.biases = _layer_views(self.params, self.spec)
-        self.input_lo = np.asarray(self.input_lo, dtype=float)
-        self.input_hi = np.asarray(self.input_hi, dtype=float)
-        if self.input_lo.shape != (_INPUTS,) or self.input_hi.shape != (_INPUTS,):
+                              f"got shape {params.shape}")
+        input_lo = np.asarray(self.input_lo, dtype=float)
+        input_hi = np.asarray(self.input_hi, dtype=float)
+        if input_lo.shape != (_INPUTS,) or input_hi.shape != (_INPUTS,):
             raise DomainError(f"normalization constants need {_INPUTS} inputs")
         finite = (
-            np.all(np.isfinite(self.input_lo))
-            and np.all(np.isfinite(self.input_hi))
+            np.all(np.isfinite(input_lo))
+            and np.all(np.isfinite(input_hi))
             and math.isfinite(self.target_mean)
             and math.isfinite(self.target_std)
         )
         if not finite or self.target_std <= 0:
             raise DomainError("normalization constants must be finite, std > 0")
+        weights, biases = _layer_views(params, self.spec)
+        for name, value in (("params", params), ("weights", weights),
+                            ("biases", biases), ("input_lo", input_lo),
+                            ("input_hi", input_hi)):
+            object.__setattr__(self, name, value)
 
     def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
         span = np.where(self.input_hi > self.input_lo, self.input_hi - self.input_lo, 1.0)

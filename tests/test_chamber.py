@@ -372,7 +372,7 @@ class TestPhasorLookup:
     @settings(max_examples=80, deadline=None)
     @given(nx=st.integers(1, 20), ny=st.integers(1, 20),
            phase_count=st.one_of(st.integers(1, 4096),
-                                 st.just(2**15 + 1)),
+                                 st.sampled_from([2**15 + 1, 2**16 + 1])),
            configs=st.integers(1, 400),
            mask=st.sampled_from(["full", "random", "absorption", "none"]),
            rx_count=st.integers(1, 5),
@@ -392,8 +392,7 @@ class TestPhasorLookup:
         phase_set = uniform_phase_set(phase_count)
         spec = _masked(ArraySpec(nx, ny, phase_set=phase_set), mask, rng)
         indices = rng.integers(0, phase_count, (configs, spec.size))
-        indices = indices.astype(np.int16 if phase_count <= 2**15
-                                 else np.int32)
+        indices = indices.astype(np.min_scalar_type(phase_count - 1))
         tx = Direction(*rng.uniform(-90, 90, 2))
         rx_dirs = [Direction(*d) for d in rng.uniform(-90, 90, (rx_count, 2))]
         budget = LinkBudget(sample_sigma_db=0.0)

@@ -37,9 +37,10 @@ from risbeam.datasets import _fmt_angle
 from risbeam.errors import DomainError, NotFoundError, ParseError
 
 # phase-set sizes around each change of the widest index's digit count,
-# and both sides of the int16 / int32 index types
-DIGIT_BOUNDARIES = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 4096,
-                    2**15, 2**15 + 1]
+# both sides of the uint8 / uint16 / uint32 index types and of the former
+# int16 limit
+DIGIT_BOUNDARIES = [1, 2, 9, 10, 11, 99, 100, 101, 256, 257, 999, 1000, 1001,
+                    4096, 2**15, 2**15 + 1, 2**16, 2**16 + 1]
 
 QUANT_LOSS_FLOOR_DB = 20.0 * math.log10(math.cos(math.pi / 8))
 
@@ -251,13 +252,13 @@ class TestBlockwiseBuild:
                  else block_rows * spec.size)
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
             cb = build_codebook(spec, tx, grid, mode)
-        assert cb.indices.dtype == np.int16
+        assert cb.indices.dtype == np.min_scalar_type(phase_set.size - 1)
         np.testing.assert_array_equal(
             cb.indices, whole_matrix_indices(spec, tx, grid, mode))
 
     @pytest.mark.parametrize("block_rows", [1, 7, None])
-    def test_int32_phase_set_matches_whole_matrix(self, block_rows):
-        spec = ArraySpec(3, 4, phase_set=uniform_phase_set(2**16 + 5))
+    def test_uint32_phase_set_matches_whole_matrix(self, block_rows):
+        spec = ArraySpec(3, 4, phase_set=uniform_phase_set(2**17 + 5))
         grid = CodebookGrid(azimuth_deg=(-90, 90, 9),
                             elevation_deg=(-45, 45, 15))
         tx = Direction(20, -33)
@@ -265,9 +266,9 @@ class TestBlockwiseBuild:
                  else block_rows * spec.size)
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
             cb = build_codebook(spec, tx, grid)
-        assert cb.indices.dtype == np.int32
+        assert cb.indices.dtype == np.uint32
         expected = whole_matrix_indices(spec, tx, grid, MODE_TX_COMPENSATED)
-        assert expected.max() >= 2**15  # indices past int16 are in use
+        assert expected.max() >= 2**16  # indices past uint16 are in use
         np.testing.assert_array_equal(cb.indices, expected)
 
     def test_row_blocks_cover_every_row_once(self):
@@ -418,7 +419,8 @@ class TestCodebookIo:
         with pytest.raises(ParseError, match="UTF-8"):
             read_codebook(p)
 
-    @pytest.mark.parametrize("phase_count", [8, 4096, 2**15, 2**15 + 1])
+    @pytest.mark.parametrize("phase_count", [8, 256, 257, 4096, 2**15,
+                                             2**15 + 1, 2**16, 2**16 + 1])
     def test_matches_percent_d_writer(self, phase_count, tmp_path):
         spec = ArraySpec(3, 4, phase_set=uniform_phase_set(phase_count))
         grid = CodebookGrid(azimuth_deg=(-90, 90, 30),
@@ -429,8 +431,7 @@ class TestCodebookIo:
         cb = Codebook(spec, Direction(0, -33), MODE_TX_COMPENSATED,
                       build_codebook(spec, Direction(0, -33), grid).beams,
                       indices)
-        assert cb.indices.dtype == (np.int16 if phase_count <= 2**15
-                                    else np.int32)
+        assert cb.indices.dtype == np.min_scalar_type(phase_count - 1)
         p = tmp_path / "cb.csv"
         write_codebook(cb, p)
         assert p.read_bytes() == percent_d_codebook_text(cb).encode()
@@ -483,7 +484,7 @@ class TestCodebookIo:
 
     @pytest.mark.parametrize("value", ["65536", "65539", str(2**64 + 3)])
     def test_wrapping_index_rejected(self, value, tmp_path):
-        # int16 would wrap 65536 to a valid 0; past int64 numpy overflows
+        # uint16 would wrap 65536 to a valid 0; past int64 numpy overflows
         spec = ArraySpec(2, 1)
         cb = build_codebook(spec, Direction(0, 0),
                             CodebookGrid(azimuth_deg=(0, 0, 3),
@@ -562,6 +563,8 @@ class TestCodebookIo:
              drawn=True, seed=0)
     @example(phase_count=2**15 + 1, nx=3, ny=2, n_az=7, n_el=2, block_rows=4,
              drawn=False, seed=0)
+    @example(phase_count=2**16 + 1, nx=3, ny=2, n_az=7, n_el=2, block_rows=4,
+             drawn=True, seed=0)
     def test_block_writer_matches_lut_formatter(self, phase_count, nx, ny,
                                                 n_az, n_el, block_rows,
                                                 drawn, seed):
@@ -588,18 +591,18 @@ class TestCodebookIo:
         np.testing.assert_array_equal(back.indices, cb.indices)
         np.testing.assert_array_equal(back.beams, cb.beams)
 
-    def test_int32_phase_set_reads_back_equal(self, tmp_path):
-        spec = ArraySpec(3, 2, phase_set=uniform_phase_set(2**15 + 1))
+    def test_uint32_phase_set_reads_back_equal(self, tmp_path):
+        spec = ArraySpec(3, 2, phase_set=uniform_phase_set(2**16 + 1))
         beams = np.array([(az, el) for az in (-90, 0, 90) for el in (-3, 3)],
                          dtype=float)
-        indices = np.random.default_rng(5).integers(0, 2**15 + 1, (6, 6))
-        indices[0, 0], indices[-1, -1] = 2**15, 0  # past int16, and the floor
+        indices = np.random.default_rng(5).integers(0, 2**16 + 1, (6, 6))
+        indices[0, 0], indices[-1, -1] = 2**16, 0  # past uint16, and the floor
         cb = Codebook(spec, Direction(20, -33), MODE_TX_COMPENSATED, beams,
                       indices)
         p = tmp_path / "cb.csv"
         write_codebook(cb, p)
         back = read_codebook(p)
-        assert back.indices.dtype == np.int32
+        assert back.indices.dtype == np.uint32
         np.testing.assert_array_equal(back.indices, cb.indices)
         np.testing.assert_array_equal(back.beams, cb.beams)
 

@@ -39,7 +39,7 @@ def _read_outcome(data: bytes):
         except ParseError:
             return None
     assert isinstance(cb, Codebook)
-    assert cb.indices.dtype in (np.int16, np.int32)
+    assert cb.indices.dtype == np.min_scalar_type(cb.spec.phase_set.size - 1)
     assert cb.indices.shape == (len(cb), cb.spec.size)
     if cb.indices.size:
         assert 0 <= cb.indices.min()

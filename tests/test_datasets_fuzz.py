@@ -6,12 +6,13 @@ risbeam.errors types, never anything else."""
 import inspect
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risbeam import errors
+from risbeam import datasets, errors
 from risbeam.datasets import (DEFAULT_MAPPING, AbsorptionTable,
                               BeampatternTable, load_column_mapping,
                               read_table, write_absorption, write_beampattern)
@@ -225,3 +226,47 @@ def test_mapping_lines_then_read(lines, text):
     mapping = _mapping_outcome(("\n".join(lines) + "\n").encode())
     if mapping is not None:
         _read_outcome(text.encode(), mapping)
+
+
+# every str.splitlines break, "\r\n" and the byte-order mark, among text
+LINE_TEXT = st.text(st.one_of(
+    st.sampled_from(["\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                     "\x85", "\u2028", "\u2029", "\ufeff", "a", ","]),
+    st.characters(codec="utf-8")), max_size=40)
+
+
+class _CallerError(Exception):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.lists(st.one_of(LINE_TEXT, st.just("\r\n")), max_size=6).map(
+        lambda parts: "".join(parts).encode("utf-8")),
+    st.builds(lambda text: ("\ufeff" + text).encode("utf-8"), LINE_TEXT),
+    st.binary(max_size=40)),
+    chars=st.integers(1, 3))
+@example(data=b"", chars=1)
+@example(data="\ufeff".encode("utf-8"), chars=1)
+@example(data="\ufeff\r\n".encode("utf-8"), chars=1)
+@example(data=b"a\r\nb\r\r\n\n", chars=2)
+@example(data=b"a\r", chars=1)
+@example(data="x\u2028\x85\x0b\x1c\r".encode("utf-8"), chars=3)
+@example(data=b"ok\n\xff\n", chars=1)
+def test_read_lines_matches_whole_text(data, chars):
+    """Read in chunks of 1-3 characters, so chunk ends fall inside every
+    break and next to the byte-order mark, the lines are those of the
+    whole decoded text; undecodable bytes raise the caller's error."""
+    try:
+        expected = data.decode("utf-8").removeprefix("\ufeff").splitlines()
+    except UnicodeDecodeError:
+        expected = None
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(datasets, "_READ_CHARS", chars):
+        p = Path(d) / "t.txt"
+        p.write_bytes(data)
+        if expected is None:
+            with pytest.raises(_CallerError, match="not UTF-8"):
+                datasets._read_lines(p, _CallerError)
+        else:
+            assert datasets._read_lines(p, _CallerError) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tempfile
@@ -649,3 +650,17 @@ def test_model_params_from_a_list():
     assert model.params.dtype == np.float64
     assert [w.shape for w in model.weights] == [(3, 2), (2, 1)]
     assert np.array_equal(flat_params(model), np.arange(11.0))
+
+
+def test_model_fields_cannot_be_rebound():
+    """weights and biases view params, so rebinding a field would leave
+    them on the old values; the model refuses it and keeps predicting."""
+    model = MlpModel(MlpSpec(hidden_layers=1, hidden_width=2), np.zeros(11),
+                     np.zeros(3), np.ones(3), -60.0, 1.0)
+    for name, value in (("params", np.full(11, math.nan)),
+                        ("spec", MlpSpec(hidden_layers=2, hidden_width=2)),
+                        ("weights", []), ("target_mean", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    assert model.predict(0.0, 0.0, 0.0) == -60.0
+    assert_layers_view_params(model)
