@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .array_model import _is_int
 from .datasets import BeampatternTable
 from .errors import DomainError, FitDivergenceError, LobeTruncatedError
 
@@ -22,7 +23,6 @@ __all__ = [
     "savitzky_golay",
     "hpbw",
     "ExpFit",
-    "estimate_exp_init",
     "fit_exponential",
     "Pattern3D",
     "hpi_reconstruct",
@@ -36,9 +36,11 @@ __all__ = [
 # rather than the textbook -3.
 HALF_POWER_DB = 10.0 * math.log10(0.5)
 
-# Levenberg-Marquardt starting damping and convergence tolerance.
+# Levenberg-Marquardt starting damping, convergence tolerance and
+# iteration budget.
 _LM_DAMPING = 1e-3
 _LM_TOL = 1e-10
+_LM_ITERATIONS = 200
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -59,7 +61,7 @@ class SgFilterSpec:
 
     def __post_init__(self) -> None:
         for name in ("window", "order"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not _is_int(getattr(self, name)):
                 raise DomainError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window < 3 or self.window % 2 == 0:
@@ -192,15 +194,13 @@ class ExpFit:
         return self.a * np.exp(self.b * x) + self.c
 
 
-def estimate_exp_init(x, y) -> tuple[float, float, float]:
+def _exp_init(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Starting point for the exponential fit.
 
     Tries an offset just below the data range and one just above, does a
     log-linear regression against each, and keeps whichever candidate has
     the smaller squared residual.
     """
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
     spread = float(y.max() - y.min())
     pad = 0.05 * spread + 1e-9
     best = None
@@ -215,20 +215,16 @@ def estimate_exp_init(x, y) -> tuple[float, float, float]:
     return best[1]
 
 
-def fit_exponential(
-    x,
-    y,
-    init: tuple[float, float, float] | None = None,
-    *,
-    max_iterations: int = 200,
-) -> ExpFit:
+def fit_exponential(x, y) -> ExpFit:
     """Levenberg-Marquardt fit of y = a*exp(b*x) + c.
 
-    Damping starts at 1e-3, grows tenfold on a rejected step and shrinks
-    tenfold on an accepted one. Converged when an accepted step has both
-    relative step size and relative residual decrease below 1e-10. Raises
-    FitDivergenceError (carrying the last iterate) when the iteration
-    budget runs out or the damped normal matrix degenerates.
+    Starts from the better of two log-linear regressions, one with the
+    offset just below the data and one just above.  Damping starts at
+    1e-3, grows tenfold on a rejected step and shrinks tenfold on an
+    accepted one. Converged when an accepted step has both relative step
+    size and relative residual decrease below 1e-10. Raises
+    FitDivergenceError (carrying the last iterate) when 200 iterations do
+    not converge or the damped normal matrix degenerates.
     """
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
@@ -239,9 +235,9 @@ def fit_exponential(
     if np.unique(x).size != x.size:
         raise DomainError("x values must be distinct")
 
-    params = np.asarray(init if init is not None else estimate_exp_init(x, y), float)
-    if params.shape != (3,) or not np.all(np.isfinite(params)):
-        raise DomainError(f"init must be three finite values, got {init!r}")
+    params = np.asarray(_exp_init(x, y), float)
+    if not np.all(np.isfinite(params)):
+        raise DomainError(f"no finite starting point, got {tuple(params)!r}")
 
     def residuals(p: np.ndarray) -> np.ndarray:
         return y - (p[0] * np.exp(p[1] * x) + p[2])
@@ -257,7 +253,7 @@ def fit_exponential(
     r = residuals(params)
     ssr = float(r @ r)
     lam = _LM_DAMPING
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _LM_ITERATIONS + 1):
         if ssr == 0.0:
             break
         growth = np.exp(params[1] * x)
@@ -285,7 +281,7 @@ def fit_exponential(
         if rel_step < _LM_TOL and rel_drop < _LM_TOL:
             break
     else:
-        raise diverged(params, ssr, max_iterations, "iteration budget exhausted")
+        raise diverged(params, ssr, _LM_ITERATIONS, "iteration budget exhausted")
 
     return ExpFit(
         a=float(params[0]),
@@ -316,19 +312,14 @@ class Pattern3D:
             )
 
 
-def hpi_reconstruct(
-    angles_deg,
-    power_dbm,
-    tilt_deg: float,
-    floor_dbm: float | None = None,
-) -> Pattern3D:
+def hpi_reconstruct(angles_deg, power_dbm, tilt_deg: float) -> Pattern3D:
     """Expand one azimuth cut into a full pattern by projection symmetry.
 
     The elevation cut is the azimuth cut re-centered so its peak sits at
     `tilt_deg`; the grid of elevations is the azimuth grid itself. The
     surface is P(az, el) = P_az(az) + P_el(el) - P_peak in dB, clamped
-    below at `floor_dbm` (default: the minimum of the input cut, which
-    also fills elevation samples shifted outside the measured range).
+    below at the minimum of the input cut, which also fills elevation
+    samples shifted outside the measured range.
     """
     a = _as_vector(angles_deg, "angles_deg")
     p = _as_vector(power_dbm, "power_dbm")
@@ -350,7 +341,7 @@ def hpi_reconstruct(
         )
     tilt_idx = int(tilt_hits[0])
 
-    floor = float(p.min()) if floor_dbm is None else float(floor_dbm)
+    floor = float(p.min())
     peak_idx = int(np.argmax(p))
 
     # Elevation cut: same shape as the azimuth cut, peak moved to the tilt.

@@ -34,9 +34,15 @@ SPEED_OF_LIGHT = 299792458.0
 INDEX_LIMIT = np.iinfo(np.intp).max  # the largest array size numpy can index
 
 
+def _is_int(value) -> bool:
+    """An integer count or seed; Python's bool is an int but never means
+    one (numpy's bool_ is no np.integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def uniform_phase_set(count: int = 8) -> np.ndarray:
     """Evenly spaced reflection phases {m * 2*pi/count}, ascending from 0."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if not _is_int(count) or count < 1:
         raise DomainError("phase set size must be a positive integer")
     if count > INDEX_LIMIT:
         raise DomainError(f"{count} phase states are more than numpy can index")
@@ -78,9 +84,9 @@ class ArraySpec:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.nx, (int, np.integer)) or self.nx < 1:
+        if not _is_int(self.nx) or self.nx < 1:
             raise DomainError(f"nx must be a positive integer, got {self.nx!r}")
-        if not isinstance(self.ny, (int, np.integer)) or self.ny < 1:
+        if not _is_int(self.ny) or self.ny < 1:
             raise DomainError(f"ny must be a positive integer, got {self.ny!r}")
         if self.size > INDEX_LIMIT:
             raise DomainError(f"{self.nx} x {self.ny} elements are more than "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import (INDEX_LIMIT, ArraySpec, Direction, SPEED_OF_LIGHT,
-                          element_phase_profile, received_signal)
+                          _is_int, element_phase_profile, received_signal)
 from .codebook import (_SIDES, Codebook, _axis_values, _refuse_absorbing,
                        _row_blocks, absorption_masks)
 from .datasets import AbsorptionTable, BeampatternTable
@@ -41,22 +41,20 @@ _BASE_SAMPLES = 80  # readings per sample-count trial
 
 @dataclass(frozen=True)
 class ChamberGeometry:
-    """Fixed chamber layout: illumination, boom elevation, turntable axis."""
+    """Fixed chamber layout: illumination, boom elevation, turntable axis,
+    and the array diagonal that sets the field regions.  The sweeps are a
+    calibrated plane-wave model, so no antenna distance enters them."""
 
     tx_dir: Direction = Direction(0.0, -33.0)
     rx_elevation_deg: float = -3.0
     rotation_range_deg: tuple = (-90, 90, 3)
-    d_ris_tx_m: float = 1.1
-    d_ris_rx_m: float = 6.3
     diagonal_m: float = 0.43
 
     def __post_init__(self):
         self.rotations()
-        for name, d in (("d_ris_tx_m", self.d_ris_tx_m),
-                        ("d_ris_rx_m", self.d_ris_rx_m),
-                        ("diagonal_m", self.diagonal_m)):
-            if not (np.isfinite(d) and d > 0):
-                raise DomainError(f"{name} must be positive, got {d!r}")
+        if not (np.isfinite(self.diagonal_m) and self.diagonal_m > 0):
+            raise DomainError(
+                f"diagonal_m must be positive, got {self.diagonal_m!r}")
         if not -90.0 <= self.rx_elevation_deg <= 90.0:
             raise DomainError("rx elevation outside [-90, 90]")
 
@@ -83,8 +81,7 @@ class LinkBudget:
             raise DomainError("noise floor must be finite")
         if not (np.isfinite(self.sample_sigma_db) and self.sample_sigma_db >= 0):
             raise DomainError("sample sigma must be >= 0")
-        if not isinstance(self.samples_per_point, (int, np.integer)) \
-                or self.samples_per_point < 1:
+        if not _is_int(self.samples_per_point) or self.samples_per_point < 1:
             raise DomainError("samples_per_point must be a positive integer")
         if self.samples_per_point > INDEX_LIMIT:
             raise DomainError(f"{self.samples_per_point} samples per point "
@@ -127,7 +124,7 @@ SEED_LIMIT = 1 << 128  # a Philox key holds 128 bits
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < SEED_LIMIT:
+    if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
         raise DomainError(
             f"seed must be an integer in [0, 2**128), got {seed!r}")
     return int(seed)
@@ -194,7 +191,9 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
 
     Every block is gathered into the head of one buffer sized to the
     largest block and scaled in place; IEEE products commute, so this
-    keeps the bits of ``spec.mask * phasors[indices[rows]] * g``.
+    keeps the bits of ``spec.mask * phasors[indices[rows]] * g``.  The
+    gather casts its indices to intp, so a block over _BLOCK_ELEMENTS
+    cells is gathered in row slices of at most that many.
     """
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.empty((spec.size, len(rx_dirs)), dtype=complex)  # conjugated
@@ -207,9 +206,11 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
                     spec.size), dtype=complex)
     for rows in blocks:
         excited = buf[:rows.stop - rows.start]
-        # Codebook validated the indices, so clipping changes none; unlike
-        # the default mode it writes to `out` without a buffered copy
-        np.take(phasors, indices[rows], out=excited, mode="clip")
+        block = indices[rows]
+        for part in _row_blocks(*block.shape):
+            # Codebook validated the indices, so clipping changes none;
+            # unlike the default mode it writes to `out` without a copy
+            np.take(phasors, block[part], out=excited[part], mode="clip")
         excited *= spec.mask
         excited *= g
         np.abs(excited @ h, out=mag[rows])
@@ -278,7 +279,6 @@ class SampleCountStudy:
     """Per-count empirical distribution of the relative averaging error."""
 
     counts: tuple
-    base_samples: int
     errors: dict  # count -> sorted ndarray of relative errors, one per trial
 
     def _errors_for(self, count: int) -> np.ndarray:
@@ -312,7 +312,7 @@ def sample_count_study(true_rsrp_dbm: float, sigma_db: float, counts,
         raise DomainError("true RSRP must be finite and nonzero")
     if not (np.isfinite(sigma_db) and sigma_db >= 0):
         raise DomainError("sigma must be >= 0")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise DomainError("trials must be a positive integer")
     counts = tuple(int(c) for c in counts)
     if len(counts) == 0:
@@ -329,4 +329,4 @@ def sample_count_study(true_rsrp_dbm: float, sigma_db: float, counts,
     for c in counts:
         rel = np.abs(running[:, c - 1] - truth) / np.abs(truth)
         errors[c] = np.sort(rel)
-    return SampleCountStudy(counts, _BASE_SAMPLES, errors)
+    return SampleCountStudy(counts, errors)

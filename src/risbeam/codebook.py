@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArraySpec, Direction, PhaseConfig,
+from .array_model import (ArraySpec, Direction, PhaseConfig, _is_int,
                           element_phase_profile, quantize_phases, TWO_PI)
 from .datasets import (_as_beams, _beam_index, _check_beams, _fmt_angle,
                        _fmt_exact, _header, _parse_rows, _read_lines,
@@ -148,10 +148,6 @@ class Codebook:
         return _beam_index(self.beams, (beam.azimuth_deg, beam.elevation_deg),
                            "codebook")
 
-    def entries(self):
-        for i, (az, el) in enumerate(self.beams):
-            yield Direction(az, el), self.config(i)
-
 
 def lookup(codebook: Codebook, beam: Direction) -> PhaseConfig:
     """Config for an exact grid beam; off-grid beams raise NotFoundError."""
@@ -203,7 +199,7 @@ def absorption_masks(spec: ArraySpec, sides=_SIDES) -> list:
         raise DomainError("sides must be non-empty")
     out = []
     for s in sides:
-        if not isinstance(s, (int, np.integer)) or s < 1:
+        if not _is_int(s) or s < 1:
             raise DomainError(f"subarray side must be a positive integer, got {s!r}")
         if s > spec.nx or s > spec.ny:
             raise DomainError(

@@ -42,8 +42,6 @@ _KEYS: dict[str, dict[str, tuple[type, object]]] = {
         "rotation_min_deg": (float, -90.0),
         "rotation_max_deg": (float, 90.0),
         "rotation_step_deg": (float, 3.0),
-        "tx_distance_m": (float, 1.1),
-        "rx_distance_m": (float, 6.3),
         "diagonal_m": (float, 0.43),
     },
     "budget": {
@@ -136,8 +134,6 @@ def load_campaign_config(path=None) -> CampaignConfig:
             rx_elevation_deg=g["rx_elevation_deg"],
             rotation_range_deg=(g["rotation_min_deg"], g["rotation_max_deg"],
                                 g["rotation_step_deg"]),
-            d_ris_tx_m=g["tx_distance_m"],
-            d_ris_rx_m=g["rx_distance_m"],
             diagonal_m=g["diagonal_m"],
         )
         budget = LinkBudget(**values["budget"])

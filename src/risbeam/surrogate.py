@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import nmse
+from .array_model import _is_int
 from .datasets import BeampatternTable, _fmt_exact, _read_lines, _write_lines
 from .errors import DomainError, ModelFormatError
 
@@ -47,7 +48,7 @@ _CHECK_STEP = 1e-5
 
 def _check_integers(spec, *names: str) -> None:
     for name in names:
-        if not isinstance(getattr(spec, name), (int, np.integer)):
+        if not _is_int(getattr(spec, name)):
             raise DomainError(
                 f"{name} must be an integer, got {getattr(spec, name)!r}")
 
@@ -99,7 +100,7 @@ class TrainSpec:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DomainError("learning_rate must be finite and > 0, "
                               f"got {self.learning_rate!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise DomainError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -154,12 +155,6 @@ class MlpModel:
         outputs = [pair[i % 2] for i in range(hidden)] + [np.empty((rows, 1))]
         return _forward(self.weights, self.biases, normalized, outputs)
 
-    def predict(self, beam_azimuth_deg, beam_elevation_deg, rotation_deg) -> float:
-        raw = np.array(
-            [[beam_azimuth_deg, beam_elevation_deg, rotation_deg]], dtype=float
-        )
-        return float(self.predict_batch(raw)[0])
-
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
         if raw.ndim != 2 or raw.shape[1] != _INPUTS:
@@ -180,22 +175,31 @@ def flatten_table(table: BeampatternTable) -> np.ndarray:
     return np.column_stack([az, el, rot, table.power_dbm.reshape(-1)])
 
 
+def _split(
+    records: np.ndarray, train_spec: TrainSpec
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """(generator, train_indices, val_indices): the shuffle-split and the
+    generator of `train_spec.seed` that drew it, ready for the next draw."""
+    records = np.asarray(records, dtype=float)
+    if records.ndim != 2 or records.shape[1] < 2:
+        raise DomainError(f"records must be (n, features+1), got {records.shape}")
+    rng = np.random.default_rng(train_spec.seed)
+    permutation = rng.permutation(records.shape[0])
+    cut = int(records.shape[0] * train_spec.split_fraction)
+    if cut == 0 or cut == records.shape[0]:
+        raise DomainError("split leaves an empty train or validation set")
+    return rng, permutation[:cut], permutation[cut:]
+
+
 def split_records(
     records: np.ndarray, train_spec: TrainSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle-split into (train_indices, val_indices).
 
     Exposed separately so callers can reproduce exactly which records the
-    trainer saw; train() uses this function with the same spec.
+    trainer saw; train() draws the same split from the same spec.
     """
-    records = np.asarray(records, dtype=float)
-    if records.ndim != 2 or records.shape[1] < 2:
-        raise DomainError(f"records must be (n, features+1), got {records.shape}")
-    permutation = np.random.default_rng(train_spec.seed).permutation(records.shape[0])
-    cut = int(records.shape[0] * train_spec.split_fraction)
-    if cut == 0 or cut == records.shape[0]:
-        raise DomainError("split leaves an empty train or validation set")
-    return permutation[:cut], permutation[cut:]
+    return _split(records, train_spec)[1:]
 
 
 def _layer_views(
@@ -325,7 +329,10 @@ def train(
             f"got {records.shape[0]}"
         )
 
-    train_idx, val_idx = split_records(records, train_spec)
+    # The split's generator goes on to draw the initial weights and every
+    # epoch's order: the whole training trajectory is a function of
+    # train_spec.seed.
+    rng, train_idx, val_idx = _split(records, train_spec)
     if train_idx.size < 2 or val_idx.size < 2:
         raise DomainError(
             f"split gives {train_idx.size} training and {val_idx.size} "
@@ -343,10 +350,6 @@ def train(
     mean = float(train_y_raw.mean())
     std = float(train_y_raw.std())
 
-    # Same generator continues from the split permutation draw: the whole
-    # training trajectory is a function of train_spec.seed.
-    rng = np.random.default_rng(train_spec.seed)
-    rng.permutation(records.shape[0])  # replay the split draw
     params = _init_params(mlp_spec, rng, zero_head=True)
     # model.params is params, so the in-place Adam steps below train it
     model = MlpModel(mlp_spec, params, lo, hi, mean, std)
@@ -403,19 +406,12 @@ def train(
     return model, train_nmse, val_nmse
 
 
-def gradient_check(
-    mlp_spec: MlpSpec = MlpSpec(),
-    seed: int = 0,
-    *,
-    flip_sign: bool = False,
-) -> float:
+def gradient_check(mlp_spec: MlpSpec = MlpSpec(), seed: int = 0) -> float:
     """Max relative error of backprop against central finite differences.
 
     Runs on a randomly initialized model (including the output head) and a
-    random batch of 8 rows in normalized space, with a step of 1e-5.
-    `flip_sign` negates the analytic gradient first; a correct
-    implementation then reports an error near 2, which is the self-test
-    that the check can actually catch a bug.
+    random batch of 8 rows in normalized space, with a step of 1e-5.  A
+    gradient of the wrong sign reports an error near 2.
     """
     rng = np.random.default_rng(seed)
     params = _init_params(mlp_spec, rng, zero_head=False)
@@ -425,8 +421,6 @@ def gradient_check(
     y = rng.uniform(-1.0, 1.0, size=(_CHECK_BATCH, 1))
 
     _, grad = _gradients(params, mlp_spec, x, y)
-    if flip_sign:
-        grad = -grad
 
     worst = 0.0
     for i in range(params.size):

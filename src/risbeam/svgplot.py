@@ -53,11 +53,12 @@ def line_plot(
     series: Sequence[tuple[Sequence[float], Sequence[float], str]],
     path,
     *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> None:
-    """Write `series` = [(x, y, label), ...] as a standalone SVG file."""
+    """Write `series` = [(x, y, label), ...] as a standalone SVG file with
+    a title, axis labels and a legend line per series."""
     if not series:
         raise DomainError("need at least one series")
     pairs = []
@@ -97,11 +98,10 @@ def line_plot(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="monospace" font-size="12" fill="#222">',
     ]
-    if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{_escape(title)}</text>'
+    )
     frame = (
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#222"/>'
@@ -127,17 +127,15 @@ def line_plot(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" '
             f'text-anchor="end">{_fmt(tick)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        cy = _MARGIN_T + plot_h / 2
-        out.append(
-            f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {cy:.1f})">{_escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+        f'text-anchor="middle">{_escape(x_label)}</text>'
+    )
+    cy = _MARGIN_T + plot_h / 2
+    out.append(
+        f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {cy:.1f})">{_escape(y_label)}</text>'
+    )
     for k, (x, y, label) in enumerate(pairs):
         color = _PALETTE[k % len(_PALETTE)]
         points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
@@ -145,13 +143,12 @@ def line_plot(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-        if label:
-            ly = _MARGIN_T + 16 + 16 * k
-            lx = _MARGIN_L + plot_w - 150
-            out.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>')
+        ly = _MARGIN_T + 16 + 16 * k
+        lx = _MARGIN_L + plot_w - 150
+        out.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+        out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>')
     out.append("</g></svg>")
     _write_lines(path, out)

@@ -10,7 +10,7 @@ from risbeam.analysis import (
     HALF_POWER_DB,
     ExpFit,
     SgFilterSpec,
-    estimate_exp_init,
+    _exp_init,
     fit_exponential,
     hpbw,
     hpi_reconstruct,
@@ -237,13 +237,6 @@ class TestExpFit:
         assert abs(fit.a) < 1e-6
         assert fit.residual_norm < 1e-12
 
-    def test_flat_data_with_degenerate_init_still_predicts(self):
-        # b = 0 makes the a and c directions collinear; damping keeps the
-        # solve alive and any split with a + c = 5 is a perfect fit
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        fit = fit_exponential(x, np.full(4, 5.0), init=(1.0, 0.0, 0.0))
-        np.testing.assert_allclose(fit.predict(x), 5.0, atol=1e-9)
-
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.5, 50), b=st.floats(-1.0, -0.05),
            c=st.floats(-5, 5))
@@ -257,18 +250,18 @@ class TestExpFit:
     def test_init_heuristic_orients_decay(self):
         x = np.array([2.0, 4.0, 8.0, 10.0])
         y = 70.96 * np.exp(-0.27 * x) + 3.99
-        a0, b0, c0 = estimate_exp_init(x, y)
+        a0, b0, c0 = _exp_init(x, y)
         assert a0 > 0 and b0 < 0
         assert c0 < y.min()
 
     def test_divergence_carries_last_iterate(self):
-        x = np.array([2.0, 4.0, 8.0, 10.0])
-        y = 70.96 * np.exp(-0.27 * x) + 3.99
+        # one spike then a flat tail: the best fit is an ever steeper decay
+        # that never settles inside the iteration budget
         with pytest.raises(FitDivergenceError) as exc_info:
-            fit_exponential(x, y, init=(1.0, 1.0, 0.0), max_iterations=2)
+            fit_exponential([1, 2, 3, 4], [10, 1, 1, 1])
         err = exc_info.value
         assert err.params is not None and len(err.params) == 3
-        assert err.iterations == 2
+        assert err.iterations == 200
         assert err.residual_norm is not None
 
     def test_validation(self):
@@ -276,9 +269,6 @@ class TestExpFit:
             fit_exponential([1, 2, 3], [1, 2, 3])
         with pytest.raises(DomainError):
             fit_exponential([1, 2, 2, 3], [1, 2, 3, 4])
-        with pytest.raises(DomainError):
-            fit_exponential([1, 2, 3, 4], [1, 2, 3, 4],
-                            init=(1.0, float("nan"), 0.0))
 
     def test_exp_fit_value_object(self):
         with pytest.raises(DomainError):
@@ -326,9 +316,8 @@ class TestHpiReconstruct:
 
     def test_floor_clamp(self):
         angles, power = self.cut()
-        pattern = hpi_reconstruct(angles, power, tilt_deg=-3.0,
-                                  floor_dbm=-80.0)
-        assert pattern.power_dbm.min() >= -80.0
+        pattern = hpi_reconstruct(angles, power, tilt_deg=-3.0)
+        assert pattern.power_dbm.min() >= power.min()
 
     def test_shifted_out_samples_take_floor(self):
         angles = np.arange(-6.0, 7.0, 3.0)

@@ -333,8 +333,11 @@ class TestLookup:
         spec = ArraySpec(2, 2)
         grid = CodebookGrid(azimuth_deg=(0, 3, 3), elevation_deg=(0, 3, 3))
         cb = build_codebook(spec, Direction(0, 0), grid)
-        beams = [(d.azimuth_deg, d.elevation_deg) for d, _ in cb.entries()]
-        assert beams == [(0, 0), (0, 3), (3, 0), (3, 3)]
+        assert cb.beams.tolist() == [[0, 0], [0, 3], [3, 0], [3, 3]]
+        for row, (az, el) in enumerate(cb.beams):
+            np.testing.assert_array_equal(
+                lookup(cb, Direction(az, el)).quantized_indices,
+                cb.indices[row])
 
 
 class TestAbsorptionMasks:

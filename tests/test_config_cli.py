@@ -7,11 +7,12 @@ import pytest
 
 from risbeam.analysis import SgFilterSpec, savitzky_golay
 from risbeam.array_model import ArraySpec
-from risbeam.chamber import ChamberGeometry, LinkBudget
+from risbeam.chamber import ChamberGeometry, LinkBudget, field_regions
 from risbeam import cli, errors
 from risbeam.cli import _build_parser, main
 from risbeam.codebook import CodebookGrid, MODE_UNCOMPENSATED, read_codebook
 from risbeam.config import (
+    _KEYS,
     OUTPUT_DIR_ENV,
     default_output_dir,
     load_campaign_config,
@@ -1015,3 +1016,59 @@ def test_high_order_smoothing_spec_on_full_turn(tmp_path, capfd):
     np.testing.assert_allclose(
         savitzky_golay(np.full(181, c), SgFilterSpec(window=181, order=179)),
         c, rtol=0, atol=1e-9 * abs(c))
+
+
+# A small noisy campaign on the paper's 10x10 array, whose absorption sides
+# reach 10, and one other value for every INI key.
+KEY_BASE = {
+    "geometry": {"rotation_min_deg": -9, "rotation_max_deg": 9,
+                 "rotation_step_deg": 3},
+    "budget": {"samples_per_point": 2},
+    "codebook": {"azimuth_min_deg": -6, "azimuth_max_deg": 6,
+                 "azimuth_step_deg": 3, "elevation_min_deg": -3,
+                 "elevation_max_deg": 3, "elevation_step_deg": 3},
+}
+KEY_CHANGES = {
+    "nx": 11, "ny": 11, "element_spacing_wavelengths": 0.45,
+    "frequency_hz": 5.8e9, "phase_count": 4,
+    "tx_azimuth_deg": 9, "tx_elevation_deg": -30, "rx_elevation_deg": 0,
+    "rotation_min_deg": -6, "rotation_max_deg": 6, "rotation_step_deg": 9,
+    "diagonal_m": 0.5,
+    "calibration_dbm": -50, "noise_floor_dbm": -70, "sample_sigma_db": 0.25,
+    "samples_per_point": 3,
+    "azimuth_min_deg": -3, "azimuth_max_deg": 3, "azimuth_step_deg": 6,
+    "elevation_min_deg": 0, "elevation_max_deg": 0, "elevation_step_deg": 6,
+    "mode": MODE_UNCOMPENSATED,
+    "seed": 1, "output_dir": "moved",
+}
+
+
+def _campaign_outputs(workdir, values, monkeypatch):
+    """The files `codebook` and both `simulate` datasets write from
+    `values`, by path under `workdir`, and the chamber's field regions."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    ini = workdir / "campaign.ini"
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in values.items()))
+    for argv in (["codebook"], ["simulate"],
+                 ["simulate", "--dataset", "absorption"]):
+        assert main([*argv, "--config", str(ini)]) == 0
+    config = load_campaign_config(ini)
+    files = {str(p.relative_to(workdir)): p.read_bytes()
+             for p in workdir.rglob("*.csv")}
+    return files, field_regions(config.geometry, config.array.frequency_hz)
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _KEYS.items() for key in keys])
+def test_every_campaign_key_moves_an_output(section, key, tmp_path,
+                                            monkeypatch):
+    """No key is read and then ignored: another value changes a file's
+    bytes, where the files land or, for the diagonal, the field regions."""
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    changed = {s: dict(keys) for s, keys in KEY_BASE.items()}
+    changed.setdefault(section, {})[key] = KEY_CHANGES[key]
+    assert (_campaign_outputs(tmp_path / "changed", changed, monkeypatch)
+            != _campaign_outputs(tmp_path / "base", KEY_BASE, monkeypatch))

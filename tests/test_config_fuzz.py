@@ -36,8 +36,6 @@ rx_elevation_deg = -3
 rotation_min_deg = -90
 rotation_max_deg = 90
 rotation_step_deg = 3
-tx_distance_m = 1.1
-rx_distance_m = 6.3
 diagonal_m = 0.43
 [budget]
 calibration_dbm = -60

@@ -256,7 +256,9 @@ class TestRoundTrips:
                 np.column_stack([np.arange(40.0)] * 4),
                 MlpSpec(hidden_layers=1, hidden_width=2),
                 TrainSpec(epochs=1, batch_size=10))[0], p),
-            "line_plot": lambda p: line_plot([([0, 1], [1, 0], "x")], p),
+            "line_plot": lambda p: line_plot([([0, 1], [1, 0], "x")], p,
+                                             title="t", x_label="x",
+                                             y_label="y"),
         }[writer]
         path = tmp_path / "a" / "b" / "out"
         write(path)

@@ -12,8 +12,8 @@ import numpy as np
 from risbeam import datasets
 from risbeam.array_model import ArraySpec, Direction
 from risbeam.chamber import _PRODUCT_ROWS, _magnitudes
-from risbeam.codebook import (MODE_TX_COMPENSATED, Codebook, _index_type,
-                              _row_blocks)
+from risbeam.codebook import (_BLOCK_ELEMENTS, MODE_TX_COMPENSATED, Codebook,
+                              _index_type, _row_blocks)
 
 
 def traced_peak(call):
@@ -57,6 +57,26 @@ def test_magnitudes_peak_is_one_block_buffer():
     gather = block * spec.size * np.dtype(np.intp).itemsize
     # slack for the ufuncs' casting buffers
     assert peak < h + buf + gather + mag.nbytes + (256 << 10)
+
+
+def test_magnitudes_gathers_a_large_block_in_slices():
+    """A 64-config block of a 96x96 array is over _BLOCK_ELEMENTS cells;
+    its intp copy of the indices is made a row slice at a time, so it
+    never holds more than _BLOCK_ELEMENTS of them."""
+    spec = ArraySpec(96, 96)
+    indices = np.random.default_rng(0).integers(
+        0, 8, (2 * _PRODUCT_ROWS, spec.size)).astype(
+            _index_type(spec.phase_set))
+    rx_dirs = [Direction(float(az), -3.0) for az in range(-90, 91, 3)]
+    mag, peak = traced_peak(lambda: _magnitudes(
+        spec, indices, Direction(0, -33), rx_dirs))
+    assert _PRODUCT_ROWS * spec.size > _BLOCK_ELEMENTS
+    h = spec.size * len(rx_dirs) * np.dtype(complex).itemsize
+    g = spec.size * np.dtype(complex).itemsize  # the transmit phasors
+    buf = _PRODUCT_ROWS * spec.size * np.dtype(complex).itemsize
+    gather = _BLOCK_ELEMENTS * np.dtype(np.intp).itemsize
+    # slack for the ufuncs' casting buffers
+    assert peak < h + g + buf + gather + mag.nbytes + (256 << 10)
 
 
 def test_read_lines_peak_is_lines_plus_a_few_chunks(tmp_path):

@@ -5,6 +5,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import risbeam
 
 # the re-exported modules, in the package's import order
@@ -36,7 +38,7 @@ FROZEN_NAMES = frozenset({
 # reads; exceptions without an __init__ of their own have none.  A change
 # that moves this count says why in CHANGES.md, so that a new knob shows up
 # in review.
-SETTABLE_PARAMETERS = 171
+SETTABLE_PARAMETERS = 162
 
 
 def _module(name):
@@ -80,3 +82,25 @@ def test_public_settable_parameter_count():
         except ValueError:
             pass
     assert count == SETTABLE_PARAMETERS
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: risbeam.SgFilterSpec(order=False), "order"),
+    (lambda: risbeam.uniform_phase_set(True), "phase set size"),
+    (lambda: risbeam.ArraySpec(True, 2), "nx"),
+    (lambda: risbeam.ArraySpec(2, True), "ny"),
+    (lambda: risbeam.LinkBudget(samples_per_point=True), "samples_per_point"),
+    (lambda: risbeam.sample_count_study(-60.0, 0.5, [1], 1, seed=False),
+     "seed"),
+    (lambda: risbeam.sample_count_study(-60.0, 0.5, [1], True), "trials"),
+    (lambda: risbeam.absorption_masks(risbeam.ArraySpec(2, 2), (True,)),
+     "subarray side"),
+    (lambda: risbeam.MlpSpec(True, 2), "hidden_layers"),
+    (lambda: risbeam.TrainSpec(epochs=True), "epochs"),
+    (lambda: risbeam.TrainSpec(seed=False), "seed"),
+])
+def test_bool_is_not_an_integer(make, name):
+    """True is 1 to Python, but a count, size or seed given as a bool is a
+    caller's mistake, refused like numpy's bool_ always was."""
+    with pytest.raises(risbeam.DomainError, match=name):
+        make()
