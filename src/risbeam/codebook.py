@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArraySpec, Direction, PhaseConfig, _is_int,
+from .array_model import (ArraySpec, Direction, PhaseConfig,
                           element_phase_profile, quantize_phases, TWO_PI)
 from .datasets import (_as_beams, _beam_index, _check_beams, _fmt_angle,
                        _fmt_exact, _header, _parse_rows, _read_lines,
@@ -190,17 +190,14 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     return Codebook(spec, tx, mode, beams, indices)
 
 
-def absorption_masks(spec: ArraySpec, sides=_SIDES) -> list:
-    """Specs with only the top-left side x side block reflecting.
+def absorption_masks(spec: ArraySpec) -> list:
+    """Specs with only the top-left side x side block reflecting, one per
+    paper subarray side.
 
     Masks are nested: every element active for side s is active for s' > s.
     """
-    if len(sides) == 0:
-        raise DomainError("sides must be non-empty")
     out = []
-    for s in sides:
-        if not _is_int(s) or s < 1:
-            raise DomainError(f"subarray side must be a positive integer, got {s!r}")
+    for s in _SIDES:
         if s > spec.nx or s > spec.ny:
             raise DomainError(
                 f"subarray side {s} exceeds array dimensions {spec.nx}x{spec.ny}")

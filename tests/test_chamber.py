@@ -199,19 +199,28 @@ class TestNoise:
         assert abs(means.mean()) < 0.01
         assert means.std() == pytest.approx(0.5 / math.sqrt(30), rel=0.1)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 70),
            samples=st.sampled_from([1, 2, 7, 30, 129, 200]),
            sigma=st.sampled_from([1e-3, 0.25, 0.5, 2.0, 7.5]),
            seed=st.one_of(st.integers(0, 2 ** 16),
                           st.integers(2 ** 64, SEED_LIMIT - 1),
-                          st.just(SEED_LIMIT - 1)))
+                          st.just(SEED_LIMIT - 1)),
+           block_cells=st.one_of(st.none(), st.integers(1, 400)))
+    # blocks of two rows and a short last one; then rows wider than a block
+    @example(rows=5, cols=3, samples=7, sigma=0.5, seed=3, block_cells=6)
+    @example(rows=3, cols=70, samples=2, sigma=0.5, seed=3, block_cells=9)
     def test_matches_per_cell_generators(self, rows, cols, samples, sigma,
-                                         seed):
+                                         seed, block_cells):
+        """Equal whatever the block size: `block_cells` cells of samples
+        (None keeps the default) bound the block of rows drawn at once."""
         budget = LinkBudget(sample_sigma_db=sigma, samples_per_point=samples)
+        block = (codebook_module._BLOCK_ELEMENTS if block_cells is None
+                 else block_cells * samples)
+        with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
+            means = _noise_means((rows, cols), budget, seed)
         np.testing.assert_array_equal(
-            _noise_means((rows, cols), budget, seed),
-            per_cell_noise_means((rows, cols), budget, seed))
+            means, per_cell_noise_means((rows, cols), budget, seed))
 
     def test_rejects_bad_seed(self, default_codebook, default_geometry,
                               quiet_budget):
@@ -318,21 +327,20 @@ class TestSweepAbsorption:
         np.testing.assert_array_equal(quiet_absorption.column(100).values,
                                       quiet_beampattern.column(0.0).values)
 
-    def test_custom_sides(self, default_geometry, quiet_budget,
-                          default_codebook):
-        table = sweep_absorption(default_codebook, default_geometry,
-                                 quiet_budget, sides=(3, 5))
-        np.testing.assert_array_equal(table.active_counts, [9, 25])
+    def test_columns_are_the_paper_sides(self, quiet_absorption):
+        np.testing.assert_array_equal(quiet_absorption.active_counts,
+                                      [4, 16, 64, 100])
 
     def test_codebook_with_absorbing_elements_refused(self, default_geometry,
                                                       quiet_budget):
         # each subarray mask would replace the array's, so element 0 would
         # reflect again in every column
-        spec = ArraySpec(4, 4)
+        spec = ArraySpec(10, 10)
         masked = spec.with_mask(np.arange(spec.size) != 0)
         cb = build_codebook(masked, default_geometry.tx_dir, ONE_BEAM)
-        with pytest.raises(DomainError, match=r"absorbing elements \(1 of 16\)"):
-            sweep_absorption(cb, default_geometry, quiet_budget, sides=(2, 4))
+        with pytest.raises(DomainError,
+                           match=r"absorbing elements \(1 of 100\)"):
+            sweep_absorption(cb, default_geometry, quiet_budget)
         sweep_beampattern(cb, default_geometry, quiet_budget)  # honours it
 
 
@@ -359,9 +367,10 @@ def _masked(spec, kind, rng):
         return spec
     if kind == "none":
         return spec.with_mask(np.zeros(spec.size, bool))
-    if kind == "absorption":
+    if kind == "absorption":  # a top-left side x side subarray
         side = int(rng.integers(1, min(spec.nx, spec.ny) + 1))
-        return absorption_masks(spec, (side,))[0]
+        return spec.with_mask(((np.arange(spec.nx) < side)[:, None]
+                               & (np.arange(spec.ny) < side)[None, :]).ravel())
     return spec.with_mask(rng.random(spec.size) < 0.5)
 
 
@@ -497,6 +506,18 @@ class TestSampleCountStudy:
         with pytest.raises(DomainError):
             sample_count_study(-60.0, 0.5, (), trials=8)
 
+    @pytest.mark.parametrize("count", [2.7, True, "5", 10.0, None])
+    def test_non_integer_count_refused(self, count):
+        # int() would study 2, 1 and 5 samples under other keys, so the
+        # study could not be read back at the count it was asked for
+        with pytest.raises(DomainError, match="count must be an integer"):
+            sample_count_study(-60.0, 0.5, (10, count), trials=8)
+
+    def test_numpy_integer_counts_kept(self):
+        study = sample_count_study(-60.0, 0.5, np.array([10, 80]), trials=8)
+        assert study.counts == (10, 80)
+        assert study.percentile(np.int64(80), 50) == 0.0
+
 
 class TestCodebookFileRoundTrip:
     """The sweep reads the array from the codebook, so a codebook read back
@@ -512,14 +533,18 @@ class TestCodebookFileRoundTrip:
         spec = ArraySpec(nx, ny, phase_set=uniform_phase_set(phase_count))
         grid = CodebookGrid(azimuth_deg=(-30, 30, 15),
                             elevation_deg=(-6, 6, 6))
+        # the paper's subarray sides need at least a 10x10 array
+        wide = ArraySpec(nx + 9, ny + 9, phase_set=spec.phase_set)
         cb = build_codebook(spec, geometry.tx_dir, grid, mode)
+        wide_cb = build_codebook(wide, geometry.tx_dir, grid, mode)
         with tempfile.TemporaryDirectory() as d:
             write_codebook(cb, Path(d) / "cb.csv")
+            write_codebook(wide_cb, Path(d) / "wide.csv")
             back = read_codebook(Path(d) / "cb.csv")
+            wide_back = read_codebook(Path(d) / "wide.csv")
         np.testing.assert_array_equal(
             sweep_beampattern(back, geometry, budget).power_dbm,
             sweep_beampattern(cb, geometry, budget).power_dbm)
-        sides = tuple(range(1, min(nx, ny) + 1))
         np.testing.assert_array_equal(
-            sweep_absorption(back, geometry, budget, sides=sides).power_dbm,
-            sweep_absorption(cb, geometry, budget, sides=sides).power_dbm)
+            sweep_absorption(wide_back, geometry, budget).power_dbm,
+            sweep_absorption(wide_cb, geometry, budget).power_dbm)

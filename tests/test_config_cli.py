@@ -243,6 +243,24 @@ def test_large_phase_set_outputs_pinned(tmp_path, capsys):
     }
 
 
+def test_default_noisy_outputs_pinned(tmp_path, capsys):
+    """sha256 of the default seed-0 noisy beampattern and absorption tables,
+    copied from the benchmark refs: every cell's chamber noise is the v1
+    Philox stream, key = seed, counter = [0, 0, row, column]."""
+    digests = {}
+    for extra, name in (((), "beampattern.csv"),
+                        (("--dataset", "absorption"), "absorption.csv")):
+        out = tmp_path / name
+        assert main(["simulate", *extra, "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {
+        "beampattern.csv": "627b061213613622064b2ab25e26e895"
+                           "53fd1b667c1f7cca6abacef8f9998f05",
+        "absorption.csv": "e6138f1a4094d46200fa3994635cb9b1"
+                          "045f550beca3e80dd010a9e5f1afbe5b",
+    }
+
+
 def test_large_array_outputs_pinned(tmp_path, capsys):
     """sha256 of the 64x64 quiet codebook and beampattern, copied from the
     benchmark refs; at 64x64 the sweep's product runs in 64-config blocks,

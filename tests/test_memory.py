@@ -1,17 +1,20 @@
-"""Memory follows the output: the codebook check, the RSRP product and the
-line reader allocate no array or string the size of their whole input
-beyond what they return.  Each test traces one call with tracemalloc, which
-sees numpy's data buffers as well as Python objects."""
+"""Memory follows the output: the codebook check, the RSRP product, the
+chamber noise and the line reader allocate no array or string the size of
+their whole input beyond what they return.  Each test traces one call
+with tracemalloc, which sees numpy's data buffers as well as Python
+objects."""
 
 import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from risbeam import datasets
 from risbeam.array_model import ArraySpec, Direction
-from risbeam.chamber import _PRODUCT_ROWS, _magnitudes
+from risbeam.chamber import (_PRODUCT_ROWS, LinkBudget, _magnitudes,
+                             _noise_means)
 from risbeam.codebook import (_BLOCK_ELEMENTS, MODE_TX_COMPENSATED, Codebook,
                               _index_type, _row_blocks)
 
@@ -77,6 +80,19 @@ def test_magnitudes_gathers_a_large_block_in_slices():
     gather = _BLOCK_ELEMENTS * np.dtype(np.intp).itemsize
     # slack for the ufuncs' casting buffers
     assert peak < h + g + buf + gather + mag.nbytes + (256 << 10)
+
+
+@pytest.mark.parametrize("samples", [1, 30])
+def test_noise_means_holds_one_block(samples):
+    """Beyond the means, the noise holds one buffer of at most
+    _BLOCK_ELEMENTS samples, or one row when a row holds more: no sample
+    tensor of the whole table, and no list of per-cell views."""
+    shape = (2000, 61)
+    budget = LinkBudget(samples_per_point=samples)
+    out, peak = traced_peak(lambda: _noise_means(shape, budget, 0))
+    block = max(_BLOCK_ELEMENTS, shape[1] * samples) * out.itemsize
+    # slack for the ufuncs' casting buffers
+    assert peak < out.nbytes + block + (256 << 10)
 
 
 def test_read_lines_peak_is_lines_plus_a_few_chunks(tmp_path):
