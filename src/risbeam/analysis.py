@@ -52,6 +52,21 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _cut(angles_deg, power_dbm, min_points: int, too_few: str):
+    """(angles, powers) of one pattern cut as equal-length finite vectors of
+    at least `min_points` samples, angles strictly ascending; DomainError
+    with the message `too_few` when the cut is shorter."""
+    a = _as_vector(angles_deg, "angles_deg")
+    p = _as_vector(power_dbm, "power_dbm")
+    if a.size != p.size:
+        raise DomainError(f"length mismatch: {a.size} angles vs {p.size} powers")
+    if a.size < min_points:
+        raise DomainError(too_few)
+    if not np.all(np.diff(a) > 0):
+        raise DomainError("angles_deg must be strictly ascending")
+    return a, p
+
+
 @dataclass(frozen=True)
 class SgFilterSpec:
     """Savitzky-Golay window: `window` points, polynomial degree `order`."""
@@ -143,14 +158,8 @@ def hpbw(angles_deg, power_dbm) -> float:
     linearly in (angle, dB). Raises LobeTruncatedError when a side never
     crosses inside the sampled range.
     """
-    a = _as_vector(angles_deg, "angles_deg")
-    p = _as_vector(power_dbm, "power_dbm")
-    if a.size != p.size:
-        raise DomainError(f"length mismatch: {a.size} angles vs {p.size} powers")
-    if a.size < 3:
-        raise DomainError("need at least 3 points to bracket a lobe")
-    if not np.all(np.diff(a) > 0):
-        raise DomainError("angles_deg must be strictly ascending")
+    a, p = _cut(angles_deg, power_dbm, 3,
+                "need at least 3 points to bracket a lobe")
 
     peak = int(np.argmax(p))
     level = p[peak] + HALF_POWER_DB
@@ -188,10 +197,6 @@ class ExpFit:
                 raise DomainError(f"non-finite fitted parameter {name}")
         if self.residual_norm < 0:
             raise DomainError("residual_norm must be >= 0")
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.a * np.exp(self.b * x) + self.c
 
 
 def _exp_init(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -321,15 +326,9 @@ def hpi_reconstruct(angles_deg, power_dbm, tilt_deg: float) -> Pattern3D:
     below at the minimum of the input cut, which also fills elevation
     samples shifted outside the measured range.
     """
-    a = _as_vector(angles_deg, "angles_deg")
-    p = _as_vector(power_dbm, "power_dbm")
-    if a.size != p.size:
-        raise DomainError(f"length mismatch: {a.size} angles vs {p.size} powers")
-    if a.size < 2:
-        raise DomainError("need at least 2 samples to reconstruct")
+    a, p = _cut(angles_deg, power_dbm, 2,
+                "need at least 2 samples to reconstruct")
     steps = np.diff(a)
-    if not np.all(steps > 0):
-        raise DomainError("angles_deg must be strictly ascending")
     if not np.all(steps == steps[0]):
         raise DomainError("angles_deg must be uniformly spaced")
 

@@ -22,6 +22,7 @@ from .datasets import (
     AbsorptionTable,
     BeampatternTable,
     _fmt_angle,
+    _fmt_exact,
     _power_rows,
     _write_lines,
     load_column_mapping,
@@ -268,13 +269,21 @@ def _cmd_train(args) -> int:
         split_fraction=args.split_fraction,
         seed=args.seed,
     )
+    history = []
     model, train_nmse, val_nmse = surrogate.train(
-        records, surrogate.MlpSpec(), train_spec
+        records, surrogate.MlpSpec(), train_spec,
+        (lambda *row: history.append(row)) if args.history else None,
     )
     out = Path(args.out)
     surrogate.save_model(model, out)
     print(f"train NMSE {train_nmse * 100:.4f}%  val NMSE {val_nmse * 100:.4f}%")
     print(f"wrote {out}")
+    if args.history:
+        path = Path(args.history)
+        _write_csv(path, ["epoch", "train_loss", "val_nmse"],
+                   [[epoch, _fmt_exact(loss), _fmt_exact(val)]
+                    for epoch, loss, val in history])
+        print(f"wrote {path}")
     return 0
 
 
@@ -378,6 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-fraction", type=float,
                    default=defaults.split_fraction)
     p.add_argument("--seed", type=_parse_seed, default=defaults.seed)
+    p.add_argument("--history",
+                   help="CSV of train loss and val NMSE per epoch")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="evaluate a saved surrogate model")

@@ -42,6 +42,11 @@ _SIDES = (2, 4, 8, 10)  # the paper's absorption subarray sides
 _BLOCK_ELEMENTS = 1 << 18
 
 
+def _check_mode(mode) -> None:
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def _row_blocks(rows: int, size: int, unit: int = 1) -> list:
     """Slices over `rows` rows of `size` cells.  Each block is one step
     long, a whole number of `unit` rows (at least one) holding at most
@@ -117,8 +122,7 @@ class Codebook:
     indices: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         beams = _as_beams(self.beams)
         _check_beams(beams)
         indices = np.asarray(self.indices)
@@ -164,8 +168,7 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     alone, which shifts the real beam away from the nominal label.  Rows are
     quantized in blocks of beams; the block size does not change any index.
     """
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     azimuths = grid.azimuths()
     elevations = grid.elevations()
 

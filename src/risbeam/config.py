@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .array_model import ArraySpec, Direction, uniform_phase_set
-from .codebook import (MODE_TX_COMPENSATED, MODE_UNCOMPENSATED, MODES,
-                       CodebookGrid)
+from .codebook import MODE_TX_COMPENSATED, CodebookGrid, _check_mode
 from .chamber import ChamberGeometry, LinkBudget, _check_seed
 from .errors import ConfigError, DomainError
 
@@ -144,15 +143,10 @@ def load_campaign_config(path=None) -> CampaignConfig:
                            c["elevation_step_deg"]),
         )
         seed = _check_seed(values["campaign"]["seed"])
+        _check_mode(c["mode"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    mode = c["mode"]
-    if mode not in MODES:
-        raise ConfigError(
-            f"mode must be {MODE_TX_COMPENSATED!r} or {MODE_UNCOMPENSATED!r}, "
-            f"got {mode!r}"
-        )
     out = values["campaign"]["output_dir"]
-    return CampaignConfig(array, geometry, budget, grid, mode, seed,
+    return CampaignConfig(array, geometry, budget, grid, c["mode"], seed,
                           Path(out) if out else default_output_dir())

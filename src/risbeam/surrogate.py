@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,14 +309,17 @@ def train(
     records: np.ndarray,
     mlp_spec: MlpSpec = MlpSpec(),
     train_spec: TrainSpec = TrainSpec(),
-    epoch_loss_out: list[float] | None = None,
+    on_epoch: Callable[[int, float, float], object] | None = None,
 ) -> tuple[MlpModel, float, float]:
     """Mini-batch Adam on MSE; returns (model, train NMSE, val NMSE).
 
     Normalization constants come from the training split only: inputs map
     per-feature to [-1, 1], targets to zero mean and unit variance. When
-    `epoch_loss_out` is given, the full-training-set loss is appended after
-    every epoch.
+    `on_epoch` is given, it is called after every epoch as
+    ``on_epoch(epoch, train_loss, val_nmse)``: the epoch from 1, the
+    full-training-set MSE in normalized space, and the validation NMSE as
+    the returned value computes it.  These passes draw nothing from the
+    generator, so the trained parameters do not depend on `on_epoch`.
     """
     records = np.asarray(records, dtype=float)
     if records.ndim != 2 or records.shape[1] != _INPUTS + 1:
@@ -373,7 +377,7 @@ def train(
 
     b1, b2, lr = _ADAM_BETA1, _ADAM_BETA2, train_spec.learning_rate
     step = 0
-    for _ in range(train_spec.epochs):
+    for epoch in range(1, train_spec.epochs + 1):
         order = rng.permutation(rows)
         # order is a permutation, so "clip" never clips; unlike the default
         # "raise" it gathers straight into the output without a buffer.
@@ -397,9 +401,10 @@ def train(
             t2 += _ADAM_EPS
             t1 /= t2
             params -= t1
-        if epoch_loss_out is not None:
+        if on_epoch is not None:
             # the loss _gradients would report, without its backward pass
-            epoch_loss_out.append(float(np.mean((model.forward(x) - y) ** 2)))
+            on_epoch(epoch, float(np.mean((model.forward(x) - y) ** 2)),
+                     nmse(model.predict_batch(val_x_raw), val_y_raw))
 
     train_nmse = nmse(model.predict_batch(train_x_raw), train_y_raw)
     val_nmse = nmse(model.predict_batch(val_x_raw), val_y_raw)

@@ -572,6 +572,14 @@ class TestTrainPredictCommands:
         assert "train NMSE" in stdout and "val NMSE" in stdout
         load_model(model_path)
 
+    def test_train_zero_epochs_history_is_the_header(
+            self, small_beampattern_csv, tmp_path):
+        history = tmp_path / "history.csv"
+        assert main(["train", str(small_beampattern_csv),
+                     "--out", str(tmp_path / "model.txt"), "--epochs", "0",
+                     "--batch-size", "5", "--history", str(history)]) == 0
+        assert history.read_text() == "epoch,train_loss,val_nmse\n"
+
     def test_predict_at_points(self, small_beampattern_csv, tmp_path,
                                capsys):
         model_path = tmp_path / "model.txt"
@@ -713,6 +721,25 @@ def test_surrogate_model_pinned(default_beampattern_csv, default_model):
         "331a4da5a8b4566ca289156bb22241d921284c29314e95dc49ba62900d735ee8",
         "f72635c8292677eaa8d5a9beb54e3f3e5a0afaa2cd791f26d3d0e53fa3db88cb",
     ]
+
+
+def test_train_history_leaves_the_model_alone(
+        default_beampattern_csv, default_model, tmp_path, capsys):
+    """`train --history` writes a header and one row per epoch, and the
+    model file is the pinned one trained without it."""
+    model, history = tmp_path / "model.txt", tmp_path / "history.csv"
+    assert main(["train", str(default_beampattern_csv), "--out", str(model),
+                 "--epochs", "4", "--seed", "0",
+                 "--history", str(history)]) == 0
+    stdout = capsys.readouterr().out
+    assert model.read_bytes() == default_model.read_bytes()
+    lines = history.read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,val_nmse"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+    # the last epoch's val NMSE is the one train reports
+    val = float(lines[-1].split(",")[2])
+    assert stdout.endswith(
+        f"val NMSE {val * 100:.4f}%\nwrote {model}\nwrote {history}\n")
 
 
 @pytest.fixture(scope="module")

@@ -337,23 +337,24 @@ class TestTrain:
     ])
     def test_unscorable_split_rejected_before_training(self, n, fraction,
                                                        counts, rng):
-        losses = []
+        rows = []
         spec = TrainSpec(epochs=2, batch_size=1, split_fraction=fraction)
         with pytest.raises(DomainError, match=counts):
             train(synthetic_records(n, rng), train_spec=spec,
-                  epoch_loss_out=losses)
-        assert losses == []  # no epoch ran
+                  on_epoch=lambda *row: rows.append(row))
+        assert rows == []  # no epoch ran
 
     @pytest.mark.parametrize("split", ["training", "validation"])
     def test_constant_targets_rejected_before_training(self, split, rng):
-        losses = []
+        rows = []
         spec = TrainSpec(epochs=2, batch_size=5, seed=3)
         records = synthetic_records(50, rng)
         train_idx, val_idx = split_records(records, spec)
         records[train_idx if split == "training" else val_idx, -1] = -90.0
         with pytest.raises(DomainError, match=f"{split} targets are constant"):
-            train(records, train_spec=spec, epoch_loss_out=losses)
-        assert losses == []  # no epoch ran
+            train(records, train_spec=spec,
+                  on_epoch=lambda *row: rows.append(row))
+        assert rows == []  # no epoch ran
 
     def test_smallest_scorable_split_trains(self, rng):
         spec = TrainSpec(epochs=2, batch_size=1, split_fraction=0.5)
@@ -384,7 +385,7 @@ class TestTrain:
         records = synthetic_records(1000, rng)
         losses = []
         train(records, train_spec=TrainSpec(epochs=30, seed=1),
-              epoch_loss_out=losses)
+              on_epoch=lambda epoch, loss, val: losses.append(loss))
         assert len(losses) == 30
         assert losses[-1] < losses[0]
         # mini-batch noise allows small bumps, not regressions
@@ -397,7 +398,7 @@ class TestTrain:
         records = synthetic_records(600, rng)
         losses = []
         train(records, train_spec=TrainSpec(epochs=3, seed=4),
-              epoch_loss_out=losses)
+              on_epoch=lambda epoch, loss, val: losses.append(loss))
         train_idx, _ = split_records(records, TrainSpec(seed=4))
         for epoch, logged in enumerate(losses, start=1):
             model, *_ = train(records,
@@ -409,6 +410,21 @@ class TestTrain:
             y = ((records[train_idx, -1] - model.target_mean)
                  / model.target_std)[:, None]
             assert logged == _gradients(params, model.spec, x, y)[0]
+
+    def test_on_epoch_sees_each_epoch_and_leaves_training_alone(self, rng):
+        records = synthetic_records(600, rng)
+        spec = TrainSpec(epochs=4, seed=5)
+        rows = []
+        model, _, val_nmse = train(records, train_spec=spec,
+                                   on_epoch=lambda *row: rows.append(row))
+        plain, *_ = train(records, train_spec=spec)
+        assert [epoch for epoch, *_ in rows] == [1, 2, 3, 4]
+        assert rows[-1][2] == val_nmse
+        assert np.array_equal(model.params, plain.params)
+        # each epoch's val NMSE is the one a run stopped there returns
+        for epoch, _, val in rows[:-1]:
+            short = dataclasses.replace(spec, epochs=epoch)
+            assert val == train(records, train_spec=short)[2]
 
     def test_bit_reproducible(self, rng, tmp_path):
         records = synthetic_records(600, rng)
