@@ -309,7 +309,7 @@ def train(
     records: np.ndarray,
     mlp_spec: MlpSpec = MlpSpec(),
     train_spec: TrainSpec = TrainSpec(),
-    on_epoch: Callable[[int, float, float], object] | None = None,
+    on_epoch: Callable[[int, float, float], None] | None = None,
 ) -> tuple[MlpModel, float, float]:
     """Mini-batch Adam on MSE; returns (model, train NMSE, val NMSE).
 
