@@ -21,8 +21,10 @@ from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
     BeampatternTable,
+    _ascii_rows,
     _fmt_angle,
     _fmt_exact,
+    _power_blocks,
     _power_rows,
     _write_lines,
     load_column_mapping,
@@ -287,25 +289,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _prediction_lines(at, table, predictions, line_format: str):
-    """`line_format % ("AZ,EL,", "ROT", power)` per prediction, in input order.
+def _prediction_lines(at, table, predictions, sep: str, unit: str):
+    """The text of each prediction, ``AZ,EL,ROT<sep><"%.6f"><unit>``, in
+    input order: one line per --at point, then the table's lines a block of
+    beams at a time, each block one string of lines without its final
+    newline.
 
-    The --at points come first, then the table beam by rotation; each beam
-    prefix and rotation label is formatted once.
+    A block is built from three byte tables: the beam prefixes and the
+    rotation labels, each formatted once, and the block's powers from
+    `_power_blocks`; their NULs are dropped from the block's text.
     """
-    powers = iter(predictions.tolist())
-    # zip draws from the labels first, so it stops without taking a power
-    # that belongs to the next group
-    for (a, e, r), p in zip(at.tolist(), powers):
-        yield line_format % (_fmt_angle(a) + "," + _fmt_angle(e) + ",",
-                             _fmt_angle(r), p)
+    for (a, e, r), p in zip(at.tolist(), predictions[:len(at)].tolist()):
+        yield "%s,%s,%s%s%.6f%s" % (_fmt_angle(a), _fmt_angle(e),
+                                    _fmt_angle(r), sep, p, unit)
     if table is None:
         return
-    labels = [_fmt_angle(r) for r in table.rotations.tolist()]
-    for a, e in table.beams.tolist():
-        prefix = _fmt_angle(a) + "," + _fmt_angle(e) + ","
-        for label, p in zip(labels, powers):
-            yield line_format % (prefix, label, p)
+    prefixes = _ascii_rows(_fmt_angle(a) + "," + _fmt_angle(e) + ","
+                           for a, e in table.beams.tolist())
+    labels = _ascii_rows(_fmt_angle(r) + sep
+                         for r in table.rotations.tolist())
+    powers = predictions[len(at):].reshape(len(prefixes), len(labels))
+    head = prefixes.shape[1] + labels.shape[1]
+    for lo, cells in _power_blocks(powers, unit + "\n"):
+        beams, rotations, width = cells.shape
+        text = np.empty((beams, rotations, head + width), np.uint8)
+        text[:, :, :prefixes.shape[1]] = prefixes[lo:lo + beams, None]
+        text[:, :, prefixes.shape[1]:head] = labels
+        text[:, :, head:] = cells
+        yield text.tobytes().decode("ascii").replace("\0", "")[:-1]
 
 
 def _cmd_predict(args) -> int:
@@ -324,12 +335,12 @@ def _cmd_predict(args) -> int:
         out = Path(args.out)
         _write_lines(out, itertools.chain(
             ["theta_n,phi_n,theta_r,rsrp_dbm_pred"],
-            _prediction_lines(at, table, predictions, "%s%s,%.6f")))
+            _prediction_lines(at, table, predictions, ",", "")))
         print(f"wrote {out}")
     else:
-        for line in _prediction_lines(at, table, predictions,
-                                      "%s%s -> %.6f dBm"):
-            print(line)
+        for lines in _prediction_lines(at, table, predictions, " -> ",
+                                       " dBm"):
+            print(lines)
     return 0
 
 

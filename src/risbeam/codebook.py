@@ -14,9 +14,9 @@ import numpy as np
 
 from .array_model import (ArraySpec, Direction, PhaseConfig,
                           element_phase_profile, quantize_phases, TWO_PI)
-from .datasets import (_as_beams, _beam_index, _check_beams, _fmt_angle,
-                       _fmt_exact, _header, _parse_rows, _read_lines,
-                       _write_rows)
+from .datasets import (_as_beams, _ascii_rows, _beam_index, _check_beams,
+                       _fixed_rows, _fmt_angle, _fmt_exact, _header,
+                       _parse_rows, _read_lines, _write_rows)
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -241,19 +241,13 @@ def _cell_rows(codebook: Codebook):
 
     Row k of a byte table holds the ASCII of ``"%d," % k``, NUL-padded to
     the widest entry; Codebook validated every index against the phase set,
-    so one gather over the table spells a whole block.  Each row is then a
-    fixed-width slice without its NULs and its trailing comma.
+    so one gather over the table spells a whole block, which `_fixed_rows`
+    cuts into rows.
     """
-    table = np.array(["%d," % k for k in range(codebook.spec.phase_set.size)],
-                     dtype="S")
-    table = table.view(np.uint8).reshape(table.size, table.itemsize)
-    width = codebook.spec.size * table.shape[1]
+    table = _ascii_rows("%d," % k for k in range(codebook.spec.phase_set.size))
     for rows in _row_blocks(len(codebook), codebook.spec.size):
         # np.take gathers whole table rows faster than fancy indexing
-        cells = np.take(table, codebook.indices[rows], axis=0)
-        text = cells.tobytes().decode("ascii")
-        for lo in range(0, len(text), width):
-            yield text[lo:lo + width].replace("\0", "")[:-1]
+        yield from _fixed_rows(np.take(table, codebook.indices[rows], axis=0))
 
 
 def read_codebook(path) -> Codebook:

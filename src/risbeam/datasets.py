@@ -55,12 +55,89 @@ def _fmt_angle(v: float) -> str:
     return "%d" % v if float(v).is_integer() else repr(float(v))
 
 
+# Powers are spelled this many cells at a time, so a block's integer and
+# byte temporaries stay a few hundred kB however large the table grows.
+_TEXT_CELLS = 1 << 12
+
+
+def _ascii_rows(texts) -> np.ndarray:
+    """The ASCII of each text, NUL-padded to the longest, as the rows of a
+    uint8 matrix."""
+    table = np.array(list(texts), dtype="S")
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
+
+
+def _fmt_powers(values: np.ndarray, end: str = "") -> np.ndarray:
+    """``"%.6f" % v + end`` for each v of a 1-d float array, as the rows of
+    a uint8 matrix of ASCII padded with NULs.
+
+    The count of millionths is k = rint(v * 1e6), except where that product
+    is a half-integer: there the exact v * 1e6 is the product plus its
+    Dekker error term, whose sign says which way the tie really falls; an
+    exact tie keeps rint's even k, as Python's correctly rounded "%" does.
+    The sign comes from the sign bit, so -0.0 and -1e-9 spell -0.000000,
+    and the digits from integer division.  A block holding a non-finite v
+    or a |v| of 2^52 / 10^6 or more, where v * 1e6 keeps no fraction bits,
+    is spelled by "%" cell by cell.
+    """
+    if not np.all(np.abs(values) < 2.0 ** 52 / 1e6):
+        return _ascii_rows("%.6f%s" % (v, end) for v in values.tolist())
+    p = values * 1e6
+    k = np.rint(p)
+    ties = np.flatnonzero(np.abs(p - k) == 0.5)
+    if ties.size:
+        v, pt = values[ties], p[ties]
+        hi = v * 134217729.0  # Dekker's split at 2^27 + 1; 1e6 needs none
+        hi -= hi - v
+        err = (hi * 1e6 - pt) + (v - hi) * 1e6
+        k[ties] = np.where(err == 0, k[ties], pt + np.copysign(0.5, err))
+    whole, frac = np.divmod(np.abs(k).astype(np.int64), 10 ** 6)
+    # sign, integer digits, point, six decimals, end
+    point = 1 + len(str(int(whole.max(initial=0))))
+    out = np.zeros((values.size, point + 7 + len(end)), np.uint8)
+    out[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    for col in range(point + 6, point, -1):
+        frac, digit = np.divmod(frac, 10)
+        out[:, col] = digit + 48
+    out[:, point] = ord(".")
+    out[:, point - 1] = whole % 10 + 48
+    for col in range(point - 2, 0, -1):  # higher digits, NUL when leading
+        whole //= 10
+        out[:, col] = np.where(whole > 0, whole % 10 + 48, 0)
+    out[:, point + 7:] = np.frombuffer(end.encode("ascii"), np.uint8)
+    return out
+
+
+def _fixed_rows(cells: np.ndarray):
+    """Text of each row of a (rows, cells, width) uint8 array whose cells
+    are NUL-padded ASCII, each ending in a comma: the row's bytes without
+    their NULs and final comma."""
+    text = cells.tobytes().decode("ascii")
+    width = cells.size // len(cells)
+    for lo in range(0, len(text), width):
+        yield text[lo:lo + width].replace("\0", "")[:-1]
+
+
+def _power_blocks(values: np.ndarray, end: str):
+    """(first row, cells) for each block of rows of a 2-d array of powers
+    with columns, about _TEXT_CELLS cells at a time: `cells` is the
+    (rows, columns, width) uint8 array of the block's `_fmt_powers` text,
+    each cell followed by `end`."""
+    rows, cols = values.shape
+    step = max(1, _TEXT_CELLS // cols)
+    for lo in range(0, rows, step):
+        block = values[lo:lo + step]
+        yield lo, _fmt_powers(block.ravel(), end).reshape(len(block), cols, -1)
+
+
 def _power_rows(values: np.ndarray):
-    """Yield the text of each row of a 2-d array of powers: ``%.6f`` cells
-    joined by commas, one ``%`` conversion per row."""
-    fmt = ",".join(["%.6f"] * values.shape[1])
-    for row in values:
-        yield fmt % tuple(row.tolist())
+    """Yield the text of each row of a 2-d array of powers: ``"%.6f"``
+    cells joined by commas, cut from each block's text by `_fixed_rows`."""
+    if not values.shape[1]:
+        yield from [""] * len(values)
+        return
+    for _, cells in _power_blocks(values, ","):
+        yield from _fixed_rows(cells)
 
 
 def _fmt_exact(v: float) -> str:  # 17 digits: reads back the same float
@@ -95,7 +172,8 @@ def _read_lines(path, error=ParseError) -> list:
 
 
 def _write_lines(path, lines) -> None:
-    """Write `lines` (strings without their newline) as UTF-8 text.
+    """Write `lines` (strings without their final newline, each holding one
+    line or more) as UTF-8 text.
 
     A missing parent directory is created first.  The lines stream into a
     temp file in the same directory that then replaces `path`, so an
@@ -317,40 +395,71 @@ def _write_rows(path, comment, columns, beams, cells) -> None:
     _write_lines(path, lines())
 
 
+def _digit_row(text: str, size: int, limit: int):
+    """The indices of a row's cell text when it is `size` one-digit indices
+    below `limit` joined by commas, else None."""
+    if len(text) != 2 * size - 1 or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digits = raw[::2] - 48  # a byte below "0" wraps past 9 too
+    if digits.max() >= min(limit, 10) or not np.all(raw[1::2] == 44):
+        return None
+    return digits
+
+
 def _parse_rows(path, lines, first_ln, cells, limit=None) -> np.ndarray:
     """Parse ``<az>,<el>,<cells>`` lines into the preallocated `cells`
-    matrix and return the (n, 2) float beams.  One numpy call per line
-    converts its cells, with float()'s syntax or, for integer phase-set
-    indices, int()'s; those are checked against [0, limit) before the store,
-    which would wrap e.g. 256 to 0 in uint8."""
+    matrix and return the (n, 2) float beams.
+
+    One numpy call per line converts its cells, with float()'s syntax or,
+    for integer phase-set indices, int()'s; those are checked against
+    [0, limit) before the store, which would wrap e.g. 256 to 0 in uint8.
+    An index row whose cell text is ASCII one-digit indices below `limit`
+    at even offsets and commas at odd ones, as the 3-bit codebooks are
+    written, is read from its bytes instead; every other row takes the
+    numpy call, so what is accepted and every message stay the same.
+    """
     n_fields = 2 + cells.shape[1]
     dtype = float if limit is None else np.int64
     beams = np.empty((len(lines), 2))
     for r, line in enumerate(lines):
         where = f"{path}: line {first_ln + r}: "
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(f"{where}expected {n_fields} fields, "
-                             f"got {len(parts)}")
+        row = None
+        if limit is not None:
+            parts = line.split(",", 2)  # the beam angles, then the cells
+            if len(parts) == 3:
+                row = _digit_row(parts[2], cells.shape[1], limit)
+        if row is None:
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ParseError(f"{where}expected {n_fields} fields, "
+                                 f"got {len(parts)}")
         try:
             beams[r] = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"{where}bad beam angles {parts[:2]!r}") from None
-        try:  # an integer past int64 raises OverflowError
-            row = np.array(parts[2:], dtype)
-        except (ValueError, OverflowError):
-            for col, text in enumerate(parts[2:], start=1):
-                try:
-                    np.array(text, dtype)
-                except (ValueError, OverflowError):
-                    raise ParseError(f"{where}data column {col}: "
-                                     f"bad value {text!r}") from None
-            raise
-        if limit is not None and (row.min() < 0 or row.max() >= limit):
-            raise ParseError(f"{where}index outside the phase set "
-                             f"[0, {limit})")
+        if row is None:
+            row = _convert_row(where, parts[2:], dtype, limit)
         cells[r] = row
     return beams
+
+
+def _convert_row(where, texts, dtype, limit):
+    """One row's cells by one numpy conversion, range-checked for indices."""
+    try:  # an integer past int64 raises OverflowError
+        row = np.array(texts, dtype)
+    except (ValueError, OverflowError):
+        for col, text in enumerate(texts, start=1):
+            try:
+                np.array(text, dtype)
+            except (ValueError, OverflowError):
+                raise ParseError(f"{where}data column {col}: "
+                                 f"bad value {text!r}") from None
+        raise
+    if limit is not None and (row.min() < 0 or row.max() >= limit):
+        raise ParseError(f"{where}index outside the phase set "
+                         f"[0, {limit})")
+    return row
 
 
 def _write_table(table: _Table, path) -> None:

@@ -484,6 +484,52 @@ class TestCodebookIo:
         np.testing.assert_array_equal(back.beams, expected[1])
         np.testing.assert_array_equal(back.indices, expected[2])
 
+    @pytest.mark.parametrize("phase_count", [8, 4096])
+    @pytest.mark.parametrize("cells", ["٣", "8", " ", "+", "0", "7",
+                                       "3,4", "3;4", "3 4"])
+    def test_one_digit_layout_matches_int_parser(self, cells, phase_count,
+                                                 tmp_path):
+        """Rows of one-digit cells are read from their bytes.  Cells that
+        only look like that layout take the numpy conversion, which gives
+        int()'s outcome: the lone field of a 1x1 codebook's row may be the
+        Arabic-Indic three (3), an 8 outside the 3-bit set, a space or a
+        bare sign; a 2x1 row's two digits may be joined by no comma."""
+        spec = ArraySpec(len(cells) // 2 + 1, 1,
+                         phase_set=uniform_phase_set(phase_count))
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid(azimuth_deg=(0, 6, 3),
+                                         elevation_deg=(0, 0, 3)))
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        lines[3] = "3,0," + cells
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = int_parse_outcome(p.read_text(encoding="utf-8"), spec)
+        try:
+            back = read_codebook(p)
+        except ParseError as exc:
+            assert expected == ("reject", 4)
+            assert "line 4: " in str(exc)
+            return
+        assert expected[0] == "accept"
+        np.testing.assert_array_equal(back.beams, expected[1])
+        np.testing.assert_array_equal(back.indices, expected[2])
+
+    def test_astral_last_cell_rejected(self, tmp_path):
+        """A codebook whose last cell is U+A0955 is refused.  numpy's C
+        text reader (loadtxt) crashed the interpreter on such a row now
+        and then; the reader converts cells without it."""
+        spec = ArraySpec(2, 2)
+        cb = build_codebook(spec, Direction(0, 0),
+                            CodebookGrid(azimuth_deg=(0, 6, 3),
+                                         elevation_deg=(0, 0, 3)))
+        p = tmp_path / "cb.csv"
+        write_codebook(cb, p)
+        text = p.read_text(encoding="utf-8").rstrip("\n")
+        p.write_text(text[:-1] + "\U000a0955\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 5: data column 4"):
+            read_codebook(p)
+
     @pytest.mark.parametrize("value", ["65536", "65539", str(2**64 + 3)])
     def test_wrapping_index_rejected(self, value, tmp_path):
         # uint16 would wrap 65536 to a valid 0; past int64 numpy overflows

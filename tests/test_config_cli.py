@@ -742,6 +742,37 @@ def test_train_history_leaves_the_model_alone(
         f"val NMSE {val * 100:.4f}%\nwrote {model}\nwrote {history}\n")
 
 
+def test_power_text_outputs_pinned(default_beampattern_csv, default_model,
+                                   tmp_path, capsys):
+    """sha256 of the outputs the benchmark compares only to 2e-6, so that a
+    slip in a last printed digit shows: smoothed.csv and pattern3d.csv of
+    the default seed-0 noisy table, and predict's file and stdout for the
+    4-epoch model on the quiet table.  Frozen while each power was still
+    spelled by one "%" per row or line."""
+    table = tmp_path / "beampattern.csv"
+    assert main(["simulate", "--out", str(table)]) == 0
+    assert main(["analyze", str(table), "--beam", "0,-3", "--smooth",
+                 "--reconstruct", "--tilt", "-3",
+                 "--out-dir", str(tmp_path)]) == 0
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", str(default_model), "--at", "0,-3,0",
+                 "--at", "1.5,-2.25,-0.5", "--table",
+                 str(default_beampattern_csv), "--out", str(pred)]) == 0
+    capsys.readouterr()
+    assert main(["predict", str(default_model), "--at", "0,-3,0",
+                 "--table", str(default_beampattern_csv)]) == 0
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        (tmp_path / "smoothed.csv").read_bytes(),
+        (tmp_path / "pattern3d.csv").read_bytes(),
+        pred.read_bytes(), capsys.readouterr().out.encode())]
+    assert digests == [
+        "24c39116d91dbdfe07b36ae354ccbd57f689cede5a6f9018e4f20b8f31ba381e",
+        "f9724027efbec7eb13de0a898fa0c3de75a01f09c97de28d587167e66f9c68f7",
+        "7e21a93eaf411b0c4c242728a7bca780954671203bdb5c716114acb876b4ef59",
+        "ea044bfa205b9593b6339750bec1b84b5ba4eee1c8f95e8d450d18ec3b66d473",
+    ]
+
+
 @pytest.fixture(scope="module")
 def odd_angles_csv(tmp_path_factory):
     """Hand-written beampattern with non-grid, signed-zero and tiny angles."""

@@ -1,8 +1,8 @@
 """Memory follows the output: the codebook check, the RSRP product, the
-chamber noise and the line reader allocate no array or string the size of
-their whole input beyond what they return.  Each test traces one call
-with tracemalloc, which sees numpy's data buffers as well as Python
-objects."""
+chamber noise, the line reader and the power text allocate no array or
+string the size of their whole input beyond what they return.  Each test
+traces one call with tracemalloc, which sees numpy's data buffers as well
+as Python objects."""
 
 import sys
 import tracemalloc
@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from risbeam import datasets
+from risbeam.cli import _prediction_lines
 from risbeam.array_model import ArraySpec, Direction
 from risbeam.chamber import (_PRODUCT_ROWS, LinkBudget, _magnitudes,
                              _noise_means)
 from risbeam.codebook import (_BLOCK_ELEMENTS, MODE_TX_COMPENSATED, Codebook,
                               _index_type, _row_blocks)
+from risbeam.datasets import BeampatternTable, _power_rows
 
 
 def traced_peak(call):
@@ -107,3 +109,37 @@ def test_read_lines_peak_is_lines_plus_a_few_chunks(tmp_path):
     returned = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
     assert p.stat().st_size > 8 * chars  # the file spans many chunks
     assert peak < returned + 4 * chars  # one ASCII character per byte
+
+
+def _text_size(texts) -> int:
+    return sys.getsizeof(texts) + sum(map(sys.getsizeof, texts))
+
+
+# A block's temporaries: per cell a few float64 and int64 arrays, its
+# bytes and their decoded text, under 64 bytes.
+_TEXT_BLOCK_BYTES = 64 * datasets._TEXT_CELLS
+
+
+def test_power_rows_hold_one_block():
+    """A (4000, 61) table is spelled a block of rows at a time: beyond the
+    rows it returns, one block's temporaries."""
+    values = np.random.default_rng(0).normal(-60.0, 20.0, (4000, 61))
+    rows, peak = traced_peak(lambda: list(_power_rows(values)))
+    assert len(rows) == 4000
+    # slack for the ufuncs' casting buffers
+    assert peak < _text_size(rows) + _TEXT_BLOCK_BYTES + (256 << 10)
+
+
+def test_prediction_text_holds_one_block():
+    """The prediction lines of a 4000 x 61 table come a block of beams at
+    a time: beyond the text returned, one block's temporaries."""
+    values = np.random.default_rng(0).normal(-60.0, 20.0, (4000, 61))
+    table = BeampatternTable(
+        np.column_stack([np.arange(4000.0), np.zeros(4000)]),
+        np.arange(-90.0, 91.0, 3.0), values)
+    predictions = values.ravel()
+    blocks, peak = traced_peak(lambda: list(_prediction_lines(
+        np.empty((0, 3)), table, predictions, ",", "")))
+    assert sum(block.count("\n") + 1 for block in blocks) == values.size
+    # slack for the ufuncs' casting buffers and the beam prefixes
+    assert peak < _text_size(blocks) + _TEXT_BLOCK_BYTES + (256 << 10)

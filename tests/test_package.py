@@ -1,9 +1,11 @@
 """The package's public surface: each module's `__all__` lists its public
 names once, and `risbeam` re-exports the modules' lists."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +105,17 @@ def test_bool_is_not_an_integer(make, name):
     caller's mistake, refused like numpy's bool_ always was."""
     with pytest.raises(risbeam.DomainError, match=name):
         make()
+
+
+def test_no_c_text_parser_reads_inputs():
+    """Input text is split in Python and converted cell by cell or from
+    checked bytes, never by numpy's C text parsers: `loadtxt` crashed the
+    interpreter now and then on a row ending in an astral character
+    (numpy 2.4.6), skips blank lines, and with `usecols` accepts rows with
+    extra fields."""
+    banned = {"loadtxt", "genfromtxt", "fromstring"}
+    for path in Path(risbeam.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                assert name not in banned, f"{path.name}:{node.lineno}"
