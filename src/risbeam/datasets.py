@@ -67,7 +67,7 @@ def _ascii_rows(texts) -> np.ndarray:
     return table.view(np.uint8).reshape(table.size, table.itemsize)
 
 
-def _fmt_powers(values: np.ndarray, end: str = "") -> np.ndarray:
+def _fmt_powers(values: np.ndarray, end: str) -> np.ndarray:
     """``"%.6f" % v + end`` for each v of a 1-d float array, as the rows of
     a uint8 matrix of ASCII padded with NULs.
 
@@ -120,9 +120,9 @@ def _fixed_rows(cells: np.ndarray):
 
 def _power_blocks(values: np.ndarray, end: str):
     """(first row, cells) for each block of rows of a 2-d array of powers
-    with columns, about _TEXT_CELLS cells at a time: `cells` is the
-    (rows, columns, width) uint8 array of the block's `_fmt_powers` text,
-    each cell followed by `end`."""
+    with at least one column, about _TEXT_CELLS cells at a time: `cells`
+    is the (rows, columns, width) uint8 array of the block's `_fmt_powers`
+    text, each cell followed by `end`."""
     rows, cols = values.shape
     step = max(1, _TEXT_CELLS // cols)
     for lo in range(0, rows, step):

@@ -55,6 +55,10 @@ def test_half_way_example():
     assert next(_power_rows(np.array([[0.0078125]]))) == "0.007812"
 
 
+def test_rows_without_columns_are_empty():
+    assert list(_power_rows(np.empty((2, 0)))) == ["", ""]
+
+
 @PROPERTY
 @given(values=_matrices(), block=st.integers(1, 400))
 @example(values=np.array([[0.0078125, -0.0, -1e-9, 1.5e-6, -2.5e-6]]),
