@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from risbeam import datasets
-from risbeam.cli import _prediction_lines
 from risbeam.array_model import ArraySpec, Direction
 from risbeam.chamber import (_PRODUCT_ROWS, LinkBudget, _magnitudes,
                              _noise_means)
+from risbeam.cli import _prediction_lines
 from risbeam.codebook import (_BLOCK_ELEMENTS, MODE_TX_COMPENSATED, Codebook,
                               _index_type, _row_blocks)
 from risbeam.datasets import BeampatternTable, _power_rows
