@@ -132,10 +132,9 @@ class ArraySpec:
 
 @dataclass(frozen=True, eq=False)
 class PhaseConfig:
-    """Per-element reflection phases, optionally with quantizer indices."""
+    """Per-element reflection phases."""
 
     phases: np.ndarray
-    quantized_indices: np.ndarray | None = None
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -144,11 +143,6 @@ class PhaseConfig:
         if not np.all(np.isfinite(phases)):
             raise DomainError("phases must be finite")
         object.__setattr__(self, "phases", phases)
-        if self.quantized_indices is not None:
-            idx = np.asarray(self.quantized_indices, dtype=int)
-            if idx.shape != phases.shape:
-                raise DomainError("quantized_indices must match phases in length")
-            object.__setattr__(self, "quantized_indices", idx)
 
     def __len__(self) -> int:
         return self.phases.size
@@ -296,7 +290,7 @@ def _quantize_exact(phases: np.ndarray, phase_set: np.ndarray) -> np.ndarray:
 def quantize_config(spec: ArraySpec, config: PhaseConfig) -> PhaseConfig:
     """Snap every phase to the nearest realizable one from spec.phase_set."""
     idx = quantize_phases(config.phases, spec.phase_set)
-    return PhaseConfig(spec.phase_set[idx], idx)
+    return PhaseConfig(spec.phase_set[idx])
 
 
 def quantization_loss(spec: ArraySpec, tx: Direction, beam: Direction) -> float:

@@ -146,7 +146,9 @@ def _noise_means(shape: tuple, budget: LinkBudget, seed: int) -> np.ndarray:
     """
     seed = _check_seed(seed)
     key = [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]
-    bitgen = np.random.Philox(key=key)
+    # as uint64: numpy would take a list of a low word of 2**63 or more and
+    # a smaller high word as float64, warn, and round the key
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     counter = [0, 0, 0, 0]
     state = {"bit_generator": "Philox",

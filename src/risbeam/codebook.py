@@ -26,7 +26,6 @@ __all__ = [
     "CodebookGrid",
     "absorption_masks",
     "build_codebook",
-    "lookup",
     "read_codebook",
     "write_codebook",
 ]
@@ -145,17 +144,11 @@ class Codebook:
         return self.beams.shape[0]
 
     def config(self, row: int) -> PhaseConfig:
-        idx = np.asarray(self.indices[row], dtype=int)
-        return PhaseConfig(self.spec.phase_set[idx], idx)
+        return PhaseConfig(self.spec.phase_set[self.indices[row]])
 
     def index_of(self, beam: Direction) -> int:
         return _beam_index(self.beams, (beam.azimuth_deg, beam.elevation_deg),
                            "codebook")
-
-
-def lookup(codebook: Codebook, beam: Direction) -> PhaseConfig:
-    """Config for an exact grid beam; off-grid beams raise NotFoundError."""
-    return codebook.config(codebook.index_of(beam))
 
 
 def build_codebook(spec: ArraySpec, tx: Direction,

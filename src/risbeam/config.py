@@ -97,7 +97,10 @@ def _read_values(path) -> dict[str, dict[str, object]]:
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        # configparser puts the file, the line and its text on lines of
+        # their own; the CLI reports an error on one
+        raise ConfigError(" ".join(part.strip() for part in
+                                   str(exc).splitlines())) from exc
     if parser.defaults():  # configparser would copy its keys into every section
         raise ConfigError("a [DEFAULT] section is not supported; put each key "
                           "in its own section")

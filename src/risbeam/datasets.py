@@ -10,13 +10,13 @@ measurement campaign:
 * absorption: columns are active-element counts (integer squares).
   Header ``theta_n,phi_n,n_<count>,...``.
 
-Both schemas go through one writer and one reader; ``read_table`` sniffs the
-schema from the header.  Codebook files share the beam-row layout beneath
-(header, ``<az>,<el>,<cells>`` lines, beam checks and lookup).  Powers are
-serialized with 6 decimal places (far below any measurement precision),
-angles and labels exactly (`_fmt_angle`).  Readers accept an optional
-column-name mapping so externally produced files with renamed headers can
-be ingested without rewriting them.
+Both schemas go through one writer and one reader, ``read_table``, which
+sniffs the schema from the header.  Codebook files share the beam-row
+layout beneath (header, ``<az>,<el>,<cells>`` lines, beam checks and
+lookup).  Powers are serialized with 6 decimal places (far below any
+measurement precision), angles and labels exactly (`_fmt_angle`).  The
+reader accepts an optional column-name mapping so externally produced files
+with renamed headers can be ingested without rewriting them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "AbsorptionTable",
     "BeampatternTable",
     "load_column_mapping",
-    "read_absorption",
-    "read_beampattern",
     "read_table",
     "write_absorption",
     "write_beampattern",
@@ -483,18 +481,39 @@ def _parse_theta_t(path, line: str, key: str) -> float:
                          f"value {comment[len(key) + 1:]!r}") from None
 
 
-def _read(cls, path, names: dict, lines: list) -> _Table:
-    """Parse `lines` of `path` as a `cls` table and validate it."""
-    if not lines:
-        raise ParseError(f"{path}: empty file")
+# One writer per schema over `_write_table`.  They are separate functions,
+# not aliases, so each keeps its own __name__ for the per-layer tracing in
+# perfbench/, which names layers by function.
+
+def write_beampattern(table: BeampatternTable, path) -> None:
+    _write_table(table, path)
+
+
+def write_absorption(table: AbsorptionTable, path) -> None:
+    _write_table(table, path)
+
+
+def read_table(path, mapping: dict | None = None):
+    """Read and validate a table, its schema sniffed from the first line not
+    starting with "#": a third column with the rotation prefix makes it a
+    beampattern, one with the count prefix an absorption table."""
+    names = _resolve_mapping(mapping)
+    lines = _read_lines(path)
+    sniffed = next((line for line in lines if not line.startswith("#")), None)
+    if sniffed is None:
+        raise ParseError(f"{path}: no header row found")
+    third = sniffed.split(",")[2:3]
+    cls = next((c for c in (BeampatternTable, AbsorptionTable)
+                if third and third[0].startswith(names[c.prefix_key])), None)
+    if cls is None:
+        raise ParseError(
+            f"{path}: cannot identify schema from header {sniffed!r}")
     extra = {}
     head = 0
     if cls.has_theta_t and lines[0].startswith("#"):
         extra["theta_t_deg"] = _parse_theta_t(path, lines[0],
                                               names["theta_t_key"])
         head = 1
-    if head == len(lines):
-        raise ParseError(f"{path}: missing header row")
     header = lines[head].split(",")
     if len(header) < 3 or header[:2] != [names["theta_n"], names["phi_n"]]:
         raise ParseError(
@@ -525,39 +544,3 @@ def _read(cls, path, names: dict, lines: list) -> _Table:
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return table
-
-
-# One entry point per schema over the shared writer and reader.  The writers
-# are separate functions, not aliases, so each keeps its own __name__ for the
-# per-layer tracing in perfbench/, which names layers by function.
-
-def write_beampattern(table: BeampatternTable, path) -> None:
-    _write_table(table, path)
-
-
-def write_absorption(table: AbsorptionTable, path) -> None:
-    _write_table(table, path)
-
-
-def read_beampattern(path, mapping: dict | None = None) -> BeampatternTable:
-    return _read(BeampatternTable, path, _resolve_mapping(mapping),
-                 _read_lines(path))
-
-
-def read_absorption(path, mapping: dict | None = None) -> AbsorptionTable:
-    return _read(AbsorptionTable, path, _resolve_mapping(mapping),
-                 _read_lines(path))
-
-
-def read_table(path, mapping: dict | None = None):
-    """Sniff the schema from the header and read the table with it."""
-    names = _resolve_mapping(mapping)
-    lines = _read_lines(path)
-    header = next((line for line in lines if not line.startswith("#")), None)
-    if header is None:
-        raise ParseError(f"{path}: no header row found")
-    third = header.split(",")[2:3]
-    for cls in (BeampatternTable, AbsorptionTable):
-        if third and third[0].startswith(names[cls.prefix_key]):
-            return _read(cls, path, names, lines)
-    raise ParseError(f"{path}: cannot identify schema from header {header!r}")

@@ -24,7 +24,6 @@ __all__ = [
     "TrainSpec",
     "MlpModel",
     "flatten_table",
-    "split_records",
     "train",
     "gradient_check",
     "save_model",
@@ -65,9 +64,6 @@ class MlpSpec:
         _check_integers(self, "hidden_layers", "hidden_width")
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
-
-    def layer_shapes(self) -> list[tuple[int, int]]:
-        return list(_shapes(self))
 
 
 def _shapes(spec: MlpSpec):
@@ -192,17 +188,6 @@ def _split(
     return rng, permutation[:cut], permutation[cut:]
 
 
-def split_records(
-    records: np.ndarray, train_spec: TrainSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded shuffle-split into (train_indices, val_indices).
-
-    Exposed separately so callers can reproduce exactly which records the
-    trainer saw; train() draws the same split from the same spec.
-    """
-    return _split(records, train_spec)[1:]
-
-
 def _layer_views(
     flat: np.ndarray, spec: MlpSpec
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -225,7 +210,7 @@ def _init_params(
     spec: MlpSpec, rng: np.random.Generator, zero_head: bool
 ) -> np.ndarray:
     """Flat parameter vector: Glorot-uniform weights, zero biases."""
-    shapes = spec.layer_shapes()
+    shapes = list(_shapes(spec))
     flat = np.zeros(_size(spec))
     weights, _ = _layer_views(flat, spec)
     for i, ((fan_in, fan_out), w) in enumerate(zip(shapes, weights)):
@@ -261,7 +246,7 @@ class _Backprop:
     ) -> None:
         self.weights, self.biases = _layer_views(params, spec)
         self.grad_w, self.grad_b = _layer_views(grad, spec)
-        widths = [fan_out for _, fan_out in spec.layer_shapes()]
+        widths = [fan_out for _, fan_out in _shapes(spec)]
         # outputs[i] and deltas[i] belong to layer i; squares[i] holds
         # 1 - outputs[i] ** 2 for the hidden layers.
         self.outputs = [np.empty((rows, w)) for w in widths]

@@ -20,8 +20,7 @@ from risbeam.chamber import (ChamberGeometry, LinkBudget, field_regions,
                              rsrp, sample_count_study, sweep_beampattern)
 from risbeam.codebook import (CodebookGrid, build_codebook, read_codebook,
                               write_codebook)
-from risbeam.datasets import (read_absorption, read_beampattern,
-                              write_absorption, write_beampattern)
+from risbeam.datasets import read_table, write_absorption, write_beampattern
 from risbeam.surrogate import (TrainSpec, flatten_table, gradient_check,
                                load_model, save_model, train)
 
@@ -281,9 +280,9 @@ def test_criterion_11_io_byte_stability(tmp_path, quiet_beampattern,
         return first.stat().st_size
 
     sizes = {
-        "beampattern": cycle(write_beampattern, read_beampattern,
+        "beampattern": cycle(write_beampattern, read_table,
                              quiet_beampattern, "beampattern"),
-        "absorption": cycle(write_absorption, read_absorption,
+        "absorption": cycle(write_absorption, read_table,
                             quiet_absorption, "absorption"),
         "codebook": cycle(write_codebook, read_codebook, default_codebook,
                           "codebook"),

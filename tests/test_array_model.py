@@ -235,19 +235,21 @@ class TestQuantization:
         idx = quantize_phases(np.array([6.27]), uniform_phase_set(8))
         assert idx.tolist() == [0]
 
-    def test_quantize_config_populates_indices(self):
+    def test_quantize_config_takes_the_nearest_phases(self):
         spec = ArraySpec(3, 3)
-        q = quantize_config(spec, PhaseConfig(np.linspace(0, 6.0, 9)))
-        assert q.quantized_indices is not None
-        np.testing.assert_array_equal(q.phases,
-                                      spec.phase_set[q.quantized_indices])
+        phases = np.linspace(0, 6.0, 9)
+        q = quantize_config(spec, PhaseConfig(phases))
+        np.testing.assert_array_equal(
+            q.phases, spec.phase_set[quantize_phases(phases, spec.phase_set)])
 
     def test_idempotent(self, rng):
         spec = ArraySpec(5, 5)
         q1 = quantize_config(spec, PhaseConfig(rng.uniform(0, TWO_PI, 25)))
         q2 = quantize_config(spec, q1)
         np.testing.assert_array_equal(q1.phases, q2.phases)
-        np.testing.assert_array_equal(q1.quantized_indices, q2.quantized_indices)
+        np.testing.assert_array_equal(
+            quantize_phases(q1.phases, spec.phase_set),
+            quantize_phases(q2.phases, spec.phase_set))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),

@@ -210,6 +210,9 @@ class TestNoise:
     # blocks of two rows and a short last one; then rows wider than a block
     @example(rows=5, cols=3, samples=7, sigma=0.5, seed=3, block_cells=6)
     @example(rows=3, cols=70, samples=2, sigma=0.5, seed=3, block_cells=9)
+    # a low key word of 2**63 or more under a smaller high word
+    @example(rows=1, cols=2, samples=1, sigma=0.5, seed=2 ** 65 - 1024,
+             block_cells=None)
     def test_matches_per_cell_generators(self, rows, cols, samples, sigma,
                                          seed, block_cells):
         """Equal whatever the block size: `block_cells` cells of samples

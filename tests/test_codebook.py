@@ -29,7 +29,6 @@ from risbeam.codebook import (
     CodebookGrid,
     absorption_masks,
     build_codebook,
-    lookup,
     read_codebook,
     write_codebook,
 )
@@ -182,21 +181,20 @@ class TestBuildCodebook:
         grid = CodebookGrid(azimuth_deg=(0, 0, 3), elevation_deg=(0, 0, 3))
         cb = build_codebook(spec, Direction(0, 0), grid, MODE_TX_COMPENSATED)
         assert len(cb) == 1
-        expected = quantize_config(spec, ideal_config(spec, Direction(0, 0),
-                                                      Direction(0, 0)))
-        np.testing.assert_array_equal(cb.indices[0], expected.quantized_indices)
+        ideal = ideal_config(spec, Direction(0, 0), Direction(0, 0))
+        np.testing.assert_array_equal(
+            cb.indices[0], quantize_phases(ideal.phases, spec.phase_set))
 
     def test_rows_match_scalar_construction(self, default_codebook,
                                             default_spec, default_geometry):
         # vectorized builder against the one-beam-at-a-time route
         for row in (0, 517, 935, 1890):
             az, el = default_codebook.beams[row]
-            cfg = quantize_config(
-                default_spec,
-                ideal_config(default_spec, default_geometry.tx_dir,
-                             Direction(az, el)))
-            np.testing.assert_array_equal(default_codebook.indices[row],
-                                          cfg.quantized_indices)
+            cfg = ideal_config(default_spec, default_geometry.tx_dir,
+                               Direction(az, el))
+            np.testing.assert_array_equal(
+                default_codebook.indices[row],
+                quantize_phases(cfg.phases, default_spec.phase_set))
 
     def test_uncompensated_drops_tx_term(self):
         spec = ArraySpec(4, 4)
@@ -218,9 +216,11 @@ class TestBuildCodebook:
         sample = np.linspace(0, len(default_codebook) - 1, 50).astype(int)
         for row in sample:
             cfg = default_codebook.config(int(row))
-            q = quantize_config(spec, cfg)
-            np.testing.assert_array_equal(q.quantized_indices,
-                                          cfg.quantized_indices)
+            np.testing.assert_array_equal(
+                quantize_phases(cfg.phases, spec.phase_set),
+                default_codebook.indices[row])
+            np.testing.assert_array_equal(quantize_config(spec, cfg).phases,
+                                          cfg.phases)
 
     def test_gain_within_quantization_bound(self, default_codebook,
                                             default_spec, default_geometry,
@@ -322,12 +322,15 @@ class TestLookup:
 
     def test_off_grid_raises_with_suggestions(self, default_codebook):
         with pytest.raises(NotFoundError, match="nearest"):
-            lookup(default_codebook, Direction(1, 0))
+            default_codebook.config(
+                default_codebook.index_of(Direction(1, 0)))
 
     def test_lookup_returns_stored_config(self, default_codebook):
-        cfg = lookup(default_codebook, Direction(0, -30))
-        np.testing.assert_array_equal(cfg.quantized_indices,
-                                      default_codebook.indices[30 * 31 + 5])
+        cb = default_codebook
+        cfg = cb.config(cb.index_of(Direction(0, -30)))
+        np.testing.assert_array_equal(
+            quantize_phases(cfg.phases, cb.spec.phase_set),
+            cb.indices[30 * 31 + 5])
 
     def test_entries_iterates_in_order(self):
         spec = ArraySpec(2, 2)
@@ -335,9 +338,9 @@ class TestLookup:
         cb = build_codebook(spec, Direction(0, 0), grid)
         assert cb.beams.tolist() == [[0, 0], [0, 3], [3, 0], [3, 3]]
         for row, (az, el) in enumerate(cb.beams):
+            cfg = cb.config(cb.index_of(Direction(az, el)))
             np.testing.assert_array_equal(
-                lookup(cb, Direction(az, el)).quantized_indices,
-                cb.indices[row])
+                quantize_phases(cfg.phases, spec.phase_set), cb.indices[row])
 
 
 class TestAbsorptionMasks:

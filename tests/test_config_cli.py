@@ -19,7 +19,6 @@ from risbeam.config import (
 )
 from risbeam.datasets import (
     BeampatternTable,
-    read_beampattern,
     read_table,
     write_beampattern,
 )
@@ -222,6 +221,22 @@ class TestCodebookCommand:
                      "--out", str(tmp_path / "cb.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        ("[array]\nnx = 4\nfoo\n", "[line  3]: 'foo\\n'"),
+        ("nx = 4\n", "line: 1 'nx = 4\\n'"),
+    ], ids=["bad-line", "no-section"])
+    def test_ini_syntax_error_is_one_line(self, text, where, tmp_path,
+                                          capsys):
+        """configparser spreads a syntax error over lines of their own;
+        the CLI reports it on one that still names the file and the line."""
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        assert main(["codebook", "--config", str(ini),
+                     "--out", str(tmp_path / "cb.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert repr(str(ini)) in err and where in err
+
 
 def test_large_phase_set_outputs_pinned(tmp_path, capsys):
     """sha256 of the 10x10, 4096-phase quiet codebook and beampattern, frozen
@@ -288,7 +303,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(small_config),
                      "--out", str(out)]) == 0
         assert "9 rows x 3 columns" in capsys.readouterr().out
-        table = read_beampattern(out)
+        table = read_table(out)
+        assert isinstance(table, BeampatternTable)
         table.validate()
         assert table.theta_t_deg == 0.0
 
@@ -1034,7 +1050,7 @@ def test_strongest_beam_outside_steering_range(default_beampattern_csv,
                                                tmp_path, capsys):
     """The default beam is keyed by the table's own labels, so a strongest
     row labelled (120, 0) is analyzed, and localize needs no beam at all."""
-    table = read_beampattern(default_beampattern_csv)
+    table = read_table(default_beampattern_csv)
     beams = table.beams.copy()
     beams[np.argmax(table.power_dbm.max(axis=1))] = (120.0, 0.0)
     path = tmp_path / "bp120.csv"
@@ -1062,7 +1078,7 @@ def test_high_order_smoothing_spec_writes_its_files(
     assert capfd.readouterr().err == ""
     assert sorted(f.name for f in out.iterdir()) == [
         "localization.csv", "smoothed.csv"]
-    table = read_beampattern(default_beampattern_csv)
+    table = read_table(default_beampattern_csv)
     c = -61.25
     np.testing.assert_allclose(
         savitzky_golay(np.full(table.rotations.size, c),

@@ -106,13 +106,15 @@ def _apply(lines: list, edit: tuple) -> list:
 
 
 def _load_outcome(data: bytes):
-    """load_campaign_config on `data`: the config, or None on ConfigError."""
+    """load_campaign_config on `data`: the config, or None on ConfigError,
+    whose message is one line."""
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "campaign.ini"
         p.write_bytes(data)
         try:
             cfg = load_campaign_config(p)
-        except ConfigError:
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
             return None
     assert isinstance(cfg, CampaignConfig)
     return cfg

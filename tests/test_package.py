@@ -15,7 +15,8 @@ import risbeam
 REEXPORTED = ("array_model", "chamber", "codebook", "analysis", "config",
               "datasets", "errors", "surrogate")
 
-# every name `risbeam` exported before its list was built from the modules'
+# every name `risbeam` exported before its list was built from the modules',
+# less the readers and helpers that only tests called
 FROZEN_NAMES = frozenset({
     "AbsorptionTable", "ArraySpec", "BeampatternTable", "CampaignConfig",
     "ChamberGeometry", "Codebook", "CodebookGrid", "ConfigError", "Direction",
@@ -28,19 +29,19 @@ FROZEN_NAMES = frozenset({
     "fit_exponential", "flatten_table", "gradient_check", "hpbw",
     "hpi_reconstruct", "ideal_config", "load_campaign_config",
     "load_column_mapping", "load_model", "localization_success_rate",
-    "localize_aoa", "lookup", "nmse", "quantization_loss", "quantize_config",
-    "quantize_phases", "read_absorption", "read_beampattern", "read_codebook",
-    "read_table", "received_signal", "rsrp", "sample_count_study",
-    "save_model", "savitzky_golay", "split_records", "steering_vector",
-    "sweep_absorption", "sweep_beampattern", "train", "uniform_phase_set",
-    "write_absorption", "write_beampattern", "write_codebook",
+    "localize_aoa", "nmse", "quantization_loss", "quantize_config",
+    "quantize_phases", "read_codebook", "read_table", "received_signal",
+    "rsrp", "sample_count_study", "save_model", "savitzky_golay",
+    "steering_vector", "sweep_absorption", "sweep_beampattern", "train",
+    "uniform_phase_set", "write_absorption", "write_beampattern",
+    "write_codebook",
 })
 
 # Parameters of the public callables whose signature `inspect.signature`
 # reads; exceptions without an __init__ of their own have none.  A change
 # that moves this count says why in CHANGES.md, so that a new knob shows up
 # in review.
-SETTABLE_PARAMETERS = 160
+SETTABLE_PARAMETERS = 151
 
 
 def _module(name):
@@ -69,8 +70,33 @@ def test_exports_are_the_module_objects():
 
 
 def test_earlier_names_kept():
-    assert len(FROZEN_NAMES) == 66
+    assert len(FROZEN_NAMES) == 62
     assert FROZEN_NAMES <= set(risbeam.__all__)
+
+
+def _names_used(path) -> set:
+    """Every name `path` reads or binds as a plain name or an attribute:
+    ``__all__`` strings and import statements are no use of a name."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    """A public name is one the package, the scripts, the benchmark or an
+    acceptance criterion uses; one only the other tests reach is private
+    or goes."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "risbeam").glob("*.py"),
+             *(root / "scripts").glob("*.py"),
+             *(root / "perfbench").glob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_names_used, paths))
+    assert [n for n in risbeam.__all__ if n not in used] == []
 
 
 def test_public_settable_parameter_count():

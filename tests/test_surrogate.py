@@ -24,11 +24,12 @@ from risbeam.surrogate import (
     _gradients,
     _init_params,
     _layer_views,
+    _shapes,
+    _split,
     flatten_table,
     gradient_check,
     load_model,
     save_model,
-    split_records,
     train,
 )
 
@@ -46,7 +47,7 @@ def synthetic_records(n, rng, noise=0.0):
 class TestSpecs:
     def test_mlp_spec_defaults(self):
         spec = MlpSpec()
-        assert spec.layer_shapes() == [(3, 16), (16, 16), (16, 16), (16, 1)]
+        assert list(_shapes(spec)) == [(3, 16), (16, 16), (16, 16), (16, 1)]
 
     def test_mlp_spec_validation(self):
         with pytest.raises(DomainError):
@@ -86,7 +87,7 @@ class TestSpecs:
         spec = TrainSpec(epochs=np.int64(1), batch_size=np.int32(5))
         records = synthetic_records(20, np.random.default_rng(0))
         model, _, _ = train(records, mlp, spec)
-        assert model.spec.layer_shapes() == [(3, 4), (4, 1)]
+        assert list(_shapes(model.spec)) == [(3, 4), (4, 1)]
 
 
 class TestFlattenTable:
@@ -131,22 +132,22 @@ class TestSplitRecords:
     def test_partition(self, rng):
         records = synthetic_records(500, rng)
         spec = TrainSpec(seed=4)
-        tr, va = split_records(records, spec)
+        tr, va = _split(records, spec)[1:]
         assert tr.size == 400 and va.size == 100
         assert np.intersect1d(tr, va).size == 0
         assert np.union1d(tr, va).size == 500
 
     def test_deterministic_per_seed(self, rng):
         records = synthetic_records(200, rng)
-        a = split_records(records, TrainSpec(seed=1))
-        b = split_records(records, TrainSpec(seed=1))
-        c = split_records(records, TrainSpec(seed=2))
+        a = _split(records, TrainSpec(seed=1))[1:]
+        b = _split(records, TrainSpec(seed=1))[1:]
+        c = _split(records, TrainSpec(seed=2))[1:]
         np.testing.assert_array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
     def test_degenerate_split_rejected(self):
         with pytest.raises(DomainError):
-            split_records(np.zeros((1, 4)), TrainSpec())
+            _split(np.zeros((1, 4)), TrainSpec())
 
 
 def reference_gradients(weights, biases, x, y):
@@ -237,7 +238,7 @@ def reference_train_params(records, mlp_spec, train_spec):
     """The allocating training loop, oracle for train(): a fresh
     reference_gradients per gathered batch and Adam as one expression over
     the flat vectors.  Returns (flat params, train NMSE, val NMSE)."""
-    train_idx, val_idx = split_records(records, train_spec)
+    train_idx, val_idx = _split(records, train_spec)[1:]
     x_raw, y_raw = records[train_idx, :-1], records[train_idx, -1]
     std = float(y_raw.std()) or 1.0
     rng = np.random.default_rng(train_spec.seed)
@@ -349,7 +350,7 @@ class TestTrain:
         rows = []
         spec = TrainSpec(epochs=2, batch_size=5, seed=3)
         records = synthetic_records(50, rng)
-        train_idx, val_idx = split_records(records, spec)
+        train_idx, val_idx = _split(records, spec)[1:]
         records[train_idx if split == "training" else val_idx, -1] = -90.0
         with pytest.raises(DomainError, match=f"{split} targets are constant"):
             train(records, train_spec=spec,
@@ -366,7 +367,7 @@ class TestTrain:
         records = synthetic_records(400, rng)
         spec = TrainSpec(epochs=0, seed=3)
         model, train_nmse, val_nmse = train(records, train_spec=spec)
-        tr, _ = split_records(records, spec)
+        tr, _ = _split(records, spec)[1:]
         mean = records[tr, -1].mean()
         preds = model.predict_batch(records[:5, :3])
         np.testing.assert_allclose(preds, mean, atol=1e-12)
@@ -399,7 +400,7 @@ class TestTrain:
         losses = []
         train(records, train_spec=TrainSpec(epochs=3, seed=4),
               on_epoch=lambda epoch, loss, val: losses.append(loss))
-        train_idx, _ = split_records(records, TrainSpec(seed=4))
+        train_idx, _ = _split(records, TrainSpec(seed=4))[1:]
         for epoch, logged in enumerate(losses, start=1):
             model, *_ = train(records,
                               train_spec=TrainSpec(epochs=epoch, seed=4))
@@ -441,7 +442,7 @@ class TestTrain:
         byte-identical; only the reported val score may move."""
         records = synthetic_records(800, rng)
         spec = TrainSpec(epochs=5, seed=2)
-        _, val_idx = split_records(records, spec)
+        _, val_idx = _split(records, spec)[1:]
         scrambled = records.copy()
         scrambled[val_idx, -1] = records[val_idx[::-1], -1] + 7.5
 
@@ -622,7 +623,7 @@ class TestModelIo:
         spec = MlpSpec(hidden_layers=layers, hidden_width=width)
         finite = st.floats(allow_nan=False, allow_infinity=False)
         size = sum((fan_in + 1) * fan_out
-                   for fan_in, fan_out in spec.layer_shapes())
+                   for fan_in, fan_out in _shapes(spec))
         params = np.array(data.draw(st.lists(finite, min_size=size,
                                              max_size=size)))
         lo, hi = (np.array(data.draw(st.lists(finite, min_size=_INPUTS,

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.errors import ModelFormatError
-from risbeam.surrogate import MlpModel, MlpSpec, load_model, save_model
+from risbeam.surrogate import (MlpModel, MlpSpec, _shapes, load_model,
+                               save_model)
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -18,7 +19,7 @@ FUZZ = settings(max_examples=100, deadline=None)
 def _valid_text() -> str:
     spec = MlpSpec(hidden_layers=2, hidden_width=3)
     rng = np.random.default_rng(0)
-    shapes = spec.layer_shapes()
+    shapes = list(_shapes(spec))
     weights = [rng.normal(size=s) for s in shapes]
     biases = [rng.normal(size=s[1]) for s in shapes]
     params = np.concatenate([a.ravel() for w, b in zip(weights, biases)
@@ -44,7 +45,7 @@ def _load_outcome(data: bytes):
         except ModelFormatError:
             return None
     assert isinstance(model, MlpModel)
-    for (fan_in, fan_out), w, b in zip(model.spec.layer_shapes(),
+    for (fan_in, fan_out), w, b in zip(_shapes(model.spec),
                                        model.weights, model.biases):
         assert w.shape == (fan_in, fan_out) and b.shape == (fan_out,)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
