@@ -197,6 +197,8 @@ def ideal_config(spec: ArraySpec, tx: Direction, beam: Direction) -> PhaseConfig
 # buckets, and a phase of magnitude above _TRUSTED skips the table.  Up to
 # that magnitude the float error of a phase's bucket position stays below
 # 2**-18 of a bucket, far inside the quarter-bucket margin the table keeps.
+# codebook.build_codebook reads the same table with the top 16 bits of a
+# uint32 position, so it relies on both constants.
 _BUCKETS = 1 << 16
 _TRUSTED = float(1 << 20)
 _PER_RADIAN = _BUCKETS / TWO_PI

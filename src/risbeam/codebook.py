@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (ArraySpec, Direction, PhaseConfig,
-                          element_phase_profile, quantize_phases, TWO_PI)
+from .array_model import (_PER_RADIAN, _TRUSTED, ArraySpec, Direction,
+                          PhaseConfig, _bucket_owners, element_phase_profile,
+                          quantize_phases, TWO_PI)
 from .datasets import (_as_beams, _ascii_rows, _beam_index, _check_beams,
                        _fixed_rows, _fmt_angle, _fmt_exact, _header,
                        _parse_rows, _read_lines, _write_rows)
@@ -151,6 +152,15 @@ class Codebook:
                            "codebook")
 
 
+def _fixed_point(phases: np.ndarray) -> np.ndarray:
+    """Phases as uint32 positions on the circle: one turn is 2**32, so a
+    bucket of quantize_phases' table is 2**16 and the top 16 bits name it.
+    The phases must be finite and within 2**20 in magnitude."""
+    # int64 to uint32 wraps modulo 2**32, i.e. modulo one turn
+    return np.rint(phases * (_PER_RADIAN * (1 << 16))).astype(
+        np.int64).astype(np.uint32)
+
+
 def build_codebook(spec: ArraySpec, tx: Direction,
                    grid: CodebookGrid = CodebookGrid(),
                    mode: str = MODE_TX_COMPENSATED) -> Codebook:
@@ -158,8 +168,19 @@ def build_codebook(spec: ArraySpec, tx: Direction,
 
     tx-compensated rows equal quantize_config(ideal_config(spec, tx, beam));
     uncompensated rows drop the transmitter term and quantize arg h(beam)
-    alone, which shifts the real beam away from the nominal label.  Rows are
-    quantized in blocks of beams; the block size does not change any index.
+    alone, which shifts the real beam away from the nominal label.
+
+    The phase of cell (ix, iy) in beam (az, el) is separable: px[az, ix] +
+    py[el, iy] minus the tx profile ptx[ix] + pty[iy].  Each axis keeps
+    px - ptx or py - pty as fixed-point positions, and a block of beams
+    costs one uint32 add and one lookup in quantize_phases' bucket table.
+    A settled bucket lies at least a quarter bucket from every midpoint
+    between entries, and a position is within 2**-14 bucket of the exact
+    float phase, so both have the same nearest entry.  Cells in unsettled
+    buckets, and all cells when a phase may exceed 2**20 in magnitude,
+    take the exact route: their float phase (px + py) - tx profile goes
+    to quantize_phases.  So every index, whatever the block size, is the
+    one quantize_phases gives for the cell's float phase.
     """
     _check_mode(mode)
     azimuths = grid.azimuths()
@@ -170,14 +191,48 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     px = np.sin(np.deg2rad(azimuths))[:, None] * dx[None, :]    # (n_az, nx)
     py = np.sin(np.deg2rad(elevations))[:, None] * dy[None, :]  # (n_el, ny)
     tx_profile = element_phase_profile(spec, tx)
+    if mode == MODE_UNCOMPENSATED:
+        tx_profile = np.zeros_like(tx_profile)
     n = azimuths.size * elevations.size
     indices = np.empty((n, spec.size), dtype=_index_type(spec.phase_set))
-    for rows in _row_blocks(n, spec.size):
+    blocks = _row_blocks(n, spec.size)
+
+    # False for nan too: a non-finite phase then fails in quantize_phases
+    trusted = (np.abs(px).max() + np.abs(py).max()
+               + np.abs(tx_profile).max()) <= _TRUSTED
+    if trusted:
+        # the profile's first column is ptx[ix] + 0, its first row 0 + pty[iy]
+        tx_grid = tx_profile.reshape(spec.nx, spec.ny)
+        ax = _fixed_point(px - tx_grid[:, 0])
+        ay = _fixed_point(py - tx_grid[0])
+        unsettled = spec.phase_set.size  # one past the last index
+        owners = _bucket_owners(spec.phase_set)
+        owners = np.where(owners < 0, unsettled, owners).astype(
+            np.min_scalar_type(unsettled))
+        # per-block buffers, sized for the first block, the longest
+        longest = blocks[0].stop * spec.size
+        pos = np.empty(longest, dtype=np.uint32)
+        owner = np.empty(longest, dtype=owners.dtype)
+    for rows in blocks:
         az, el = np.divmod(np.arange(rows.start, rows.stop), elevations.size)
-        raw = (px[az][:, :, None] + py[el][:, None, :]).reshape(-1, spec.size)
-        if mode == MODE_TX_COMPENSATED:
-            raw -= tx_profile
-        indices[rows] = quantize_phases(raw, spec.phase_set)
+        block = indices[rows].reshape(-1)
+        if trusted:
+            cells = slice(block.size)
+            np.add(ax[az][:, :, None], ay[el][:, None, :],
+                   out=pos[cells].reshape(az.size, spec.nx, spec.ny))
+            bucket = pos[cells]
+            bucket >>= 16
+            # the buckets are in range, so "clip" changes none; "raise" copies
+            np.take(owners, bucket, out=owner[cells], mode="clip")
+            block[...] = owner[cells]
+            unsure = np.flatnonzero(owner[cells] == unsettled)
+        else:
+            unsure = np.arange(block.size)
+        if unsure.size:
+            beam, cell = np.divmod(unsure, spec.size)
+            ix, iy = np.divmod(cell, spec.ny)
+            raw = (px[az[beam], ix] + py[el[beam], iy]) - tx_profile[cell]
+            block[unsure] = quantize_phases(raw, spec.phase_set)
 
     beams = np.column_stack([
         np.repeat(azimuths.astype(float), elevations.size),

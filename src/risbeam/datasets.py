@@ -49,8 +49,13 @@ class TableSlice(NamedTuple):
 
 
 def _fmt_angle(v: float) -> str:
-    """Integer digits when integral, else the shortest exact float text."""
-    return "%d" % v if float(v).is_integer() else repr(float(v))
+    """Integer digits for an integer, and for an integral float below 2**53
+    in magnitude, else the shortest exact float text: -1e308 is not
+    spelled out in 309 digits."""
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    v = float(v)
+    return "%d" % v if v.is_integer() and abs(v) < 2**53 else repr(v)
 
 
 # Powers are spelled this many cells at a time, so a block's integer and
@@ -499,22 +504,21 @@ def read_table(path, mapping: dict | None = None):
     beampattern, one with the count prefix an absorption table."""
     names = _resolve_mapping(mapping)
     lines = _read_lines(path)
-    sniffed = next((line for line in lines if not line.startswith("#")), None)
-    if sniffed is None:
+    head = next((i for i, line in enumerate(lines)
+                 if not line.startswith("#")), None)
+    if head is None:
         raise ParseError(f"{path}: no header row found")
-    third = sniffed.split(",")[2:3]
+    header = lines[head].split(",")
+    third = header[2:3]
     cls = next((c for c in (BeampatternTable, AbsorptionTable)
                 if third and third[0].startswith(names[c.prefix_key])), None)
     if cls is None:
         raise ParseError(
-            f"{path}: cannot identify schema from header {sniffed!r}")
+            f"{path}: cannot identify schema from header {lines[head]!r}")
     extra = {}
-    head = 0
     if cls.has_theta_t and lines[0].startswith("#"):
         extra["theta_t_deg"] = _parse_theta_t(path, lines[0],
                                               names["theta_t_key"])
-        head = 1
-    header = lines[head].split(",")
     if len(header) < 3 or header[:2] != [names["theta_n"], names["phi_n"]]:
         raise ParseError(
             f"{path}: line {head + 1}: header must start with "

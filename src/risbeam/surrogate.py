@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import nmse
-from .array_model import _is_int
+from .array_model import INDEX_LIMIT, _is_int
 from .datasets import BeampatternTable, _fmt_exact, _read_lines, _write_lines
 from .errors import DomainError, ModelFormatError
 
@@ -64,6 +64,9 @@ class MlpSpec:
         _check_integers(self, "hidden_layers", "hidden_width")
         if self.hidden_layers < 1 or self.hidden_width < 1:
             raise DomainError("need at least one hidden layer of width >= 1")
+        if max(self.hidden_layers, self.hidden_width) > INDEX_LIMIT:
+            raise DomainError(f"{self.hidden_layers} hidden layers of width "
+                              f"{self.hidden_width} are more than numpy can index")
 
 
 def _shapes(spec: MlpSpec):
@@ -362,34 +365,41 @@ def train(
 
     b1, b2, lr = _ADAM_BETA1, _ADAM_BETA2, train_spec.learning_rate
     step = 0
-    for epoch in range(1, train_spec.epochs + 1):
-        order = rng.permutation(rows)
-        # order is a permutation, so "clip" never clips; unlike the default
-        # "raise" it gathers straight into the output without a buffer.
-        np.take(x, order, axis=0, out=x_epoch, mode="clip")
-        np.take(y, order, axis=0, out=y_epoch, mode="clip")
-        for x_batch, y_batch, backprop in batches:
-            backprop(x_batch, y_batch)
-            step += 1
-            # Adam, in place: params -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            m *= b1
-            np.multiply(grad, 1.0 - b1, out=t1)
-            m += t1
-            v *= b2
-            np.multiply(grad, grad, out=t1)
-            t1 *= 1.0 - b2
-            v += t1
-            np.divide(m, 1.0 - b1**step, out=t1)
-            t1 *= lr
-            np.divide(v, 1.0 - b2**step, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += _ADAM_EPS
-            t1 /= t2
-            params -= t1
-        if on_epoch is not None:
-            # the loss _gradients would report, without its backward pass
-            on_epoch(epoch, float(np.mean((model.forward(x) - y) ** 2)),
-                     nmse(model.predict_batch(val_x_raw), val_y_raw))
+    # A step that overflows leaves non-finite parameters, which are
+    # refused after its epoch, so numpy's warnings would only repeat that.
+    with np.errstate(all="ignore"):
+        for epoch in range(1, train_spec.epochs + 1):
+            order = rng.permutation(rows)
+            # order is a permutation, so "clip" never clips; unlike the default
+            # "raise" it gathers straight into the output without a buffer.
+            np.take(x, order, axis=0, out=x_epoch, mode="clip")
+            np.take(y, order, axis=0, out=y_epoch, mode="clip")
+            for x_batch, y_batch, backprop in batches:
+                backprop(x_batch, y_batch)
+                step += 1
+                # Adam, in place: params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                m *= b1
+                np.multiply(grad, 1.0 - b1, out=t1)
+                m += t1
+                v *= b2
+                np.multiply(grad, grad, out=t1)
+                t1 *= 1.0 - b2
+                v += t1
+                np.divide(m, 1.0 - b1**step, out=t1)
+                t1 *= lr
+                np.divide(v, 1.0 - b2**step, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += _ADAM_EPS
+                t1 /= t2
+                params -= t1
+            if not np.all(np.isfinite(params)):
+                raise DomainError(
+                    f"training diverged: non-finite parameters after epoch "
+                    f"{epoch} (learning_rate {lr!r})")
+            if on_epoch is not None:
+                # the loss _gradients would report, without its backward pass
+                on_epoch(epoch, float(np.mean((model.forward(x) - y) ** 2)),
+                         nmse(model.predict_batch(val_x_raw), val_y_raw))
 
     train_nmse = nmse(model.predict_batch(train_x_raw), train_y_raw)
     val_nmse = nmse(model.predict_batch(val_x_raw), val_y_raw)

@@ -235,18 +235,45 @@ class TestBuildCodebook:
             assert QUANT_LOSS_FLOOR_DB - 1e-9 <= gain_db <= 1e-9
 
 
+def clustered_phase_sets():
+    """Up to 8 entries within 2**-17 turn, which is less than one bucket
+    of quantize_phases' table, so every bucket is unsettled."""
+    return st.builds(
+        lambda start, offsets: np.unique(start + np.array(offsets)),
+        st.floats(0.0, TWO_PI - 1e-4),
+        st.lists(st.floats(0.0, TWO_PI / 2**17), min_size=1, max_size=8))
+
+
+def _quantized_cells(spec, tx, mode=MODE_TX_COMPENSATED):
+    """The codebook, and how many cells its build passed to quantize_phases."""
+    seen = []
+
+    def spy(phases, phase_set):
+        seen.append(np.size(phases))
+        return quantize_phases(phases, phase_set)
+
+    with mock.patch.object(codebook_module, "quantize_phases", spy):
+        cb = build_codebook(spec, tx, CodebookGrid(), mode)
+    return cb, sum(seen)
+
+
 class TestBlockwiseBuild:
     """The builder quantizes blocks of beams; any block size must give the
     whole-matrix indices exactly, in the same dtype."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(nx=st.integers(1, 20), ny=st.integers(1, 20), grid=grids(),
-           mode=st.sampled_from(MODES), phase_set=phase_sets(),
+           mode=st.sampled_from(MODES),
+           phase_set=st.one_of(phase_sets(), clustered_phase_sets()),
            tx=st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
-           block_rows=st.one_of(st.none(), st.integers(1, 9)))
+           block_rows=st.one_of(st.none(), st.integers(1, 9)),
+           # past about 8800 wavelengths a 20-element axis has phases
+           # beyond 2**20, where every cell takes the exact route
+           delta=st.one_of(st.just(0.5), st.floats(1e-3, 1e4),
+                           st.floats(1e4, 1e12)))
     def test_matches_whole_matrix(self, nx, ny, grid, mode, phase_set, tx,
-                                  block_rows):
-        spec = ArraySpec(nx, ny, phase_set=phase_set)
+                                  block_rows, delta):
+        spec = ArraySpec(nx, ny, delta=delta, phase_set=phase_set)
         tx = Direction(*tx)
         block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
                  else block_rows * spec.size)
@@ -270,6 +297,31 @@ class TestBlockwiseBuild:
         expected = whole_matrix_indices(spec, tx, grid, MODE_TX_COMPENSATED)
         assert expected.max() >= 2**16  # indices past uint16 are in use
         np.testing.assert_array_equal(cb.indices, expected)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_route_sees_only_unsettled_cells(self, mode):
+        spec, tx = ArraySpec(10, 10), Direction(20, -33)
+        cb, quantized = _quantized_cells(spec, tx, mode)
+        assert 0 < quantized < cb.indices.size // 100
+        np.testing.assert_array_equal(
+            cb.indices, whole_matrix_indices(spec, tx, CodebookGrid(), mode))
+
+    @pytest.mark.parametrize("spec", [
+        ArraySpec(10, 10, delta=2e4),
+        ArraySpec(3, 4, phase_set=np.array([1.0, 1.0 + 2**-40]))],
+        ids=["past_2**20", "clustered"])
+    def test_every_cell_takes_the_exact_route(self, spec):
+        tx = Direction(20, -33)
+        cb, quantized = _quantized_cells(spec, tx)
+        assert quantized == cb.indices.size
+        np.testing.assert_array_equal(cb.indices, whole_matrix_indices(
+            spec, tx, CodebookGrid(), MODE_TX_COMPENSATED))
+
+    def test_non_finite_phases_refused(self):
+        # 2*pi*delta overflows, and 0 * inf is nan; numpy warns of both
+        with np.errstate(all="ignore"), pytest.raises(DomainError,
+                                                      match="finite"):
+            build_codebook(ArraySpec(2, 2, delta=1e308), Direction(0, 0))
 
     def test_row_blocks_cover_every_row_once(self):
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", 700):

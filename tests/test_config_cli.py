@@ -654,6 +654,14 @@ class TestTrainPredictCommands:
         bad.write_text("not a model\n")
         assert main(["predict", str(bad), "--at", "0,0,0"]) == 1
 
+    def test_predict_model_with_too_many_layers_exits_1(self, tmp_path,
+                                                        capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("risbeam-mlp v1\nspec 9223372036854775808 3 3 1 tanh\n")
+        assert main(["predict", str(bad), "--at", "0,0,0"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "more than numpy can index" in err
+
     def test_train_bad_seed_exits_2(self, small_beampattern_csv, tmp_path,
                                     capsys):
         for seed in ("-1", "-7", "x", "1.5"):
@@ -684,6 +692,17 @@ class TestTrainPredictCommands:
         assert err.startswith("error: learning_rate")
         assert not (tmp_path / "m.txt").exists()
 
+    def test_train_diverging_exits_1_without_warnings(
+            self, small_beampattern_csv, tmp_path, capsys):
+        assert main(["train", str(small_beampattern_csv), "--out",
+                     str(tmp_path / "m.txt"), "--batch-size", "5",
+                     "--epochs", "3", "--learning-rate=1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: training diverged: non-finite parameters after epoch 1 "
+            "(learning_rate 1e+308)"]
+        assert not (tmp_path / "m.txt").exists()
+
     def test_train_on_absorption_exits_1(self, slice_absorption_csv,
                                          tmp_path, capsys):
         assert main(["train", str(slice_absorption_csv),
@@ -692,9 +711,11 @@ class TestTrainPredictCommands:
 
 
 def exact_angle(v: float) -> str:
-    """An angle spelled as the integer when integral, else the shortest
-    text that reads back as the same float."""
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    """An angle spelled as the integer when integral and below 2**53 in
+    magnitude, else the shortest text that reads back as the same float."""
+    if float(v).is_integer() and abs(v) < 2**53:
+        return str(int(v))
+    return repr(float(v))
 
 
 def listcomp_predict_outputs(model_path, at_texts, table_path):

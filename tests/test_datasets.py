@@ -17,6 +17,7 @@ from risbeam.datasets import (
     POWER_SANITY_FLOOR_DBM,
     AbsorptionTable,
     BeampatternTable,
+    _fmt_angle,
     load_column_mapping,
     read_table,
     write_absorption,
@@ -192,6 +193,12 @@ class TestRoundTrips:
         assert lines[0] == "# theta_t=-1.5"
         assert lines[1] == "theta_n,phi_n,rot_-6,rot_0,rot_6"
         assert lines[2].startswith("-3,0,")
+
+    def test_integer_digits_only_below_2_53(self):
+        assert [_fmt_angle(v) for v in (-90.0, 2.0**53 - 1, 2.0**53, -1e308)] \
+            == ["-90", "9007199254740991", "9007199254740992.0", "-1e+308"]
+        # integer labels, e.g. active counts, are spelled exactly however large
+        assert _fmt_angle(np.int64(2**62)) == _fmt_angle(2**62) == str(2**62)
 
     @settings(max_examples=100, deadline=None)
     @given(beams=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=4,
@@ -437,6 +444,29 @@ class TestSchemaSniffing:
         p = tmp_path / "t.csv"
         p.write_text("theta_n,phi_n,power\n0,0,-60\n")
         with pytest.raises(ParseError, match="schema"):
+            read_table(p)
+
+    def test_header_after_two_comment_lines(self, tmp_path):
+        """The header is the line the schema was sniffed from, and theta_t
+        comes from the leading comment."""
+        p = tmp_path / "t.csv"
+        p.write_text("# theta_t=2.5\n# x\ntheta_n,phi_n,rot_0\n0,0,-60\n")
+        table = read_table(p)
+        assert isinstance(table, BeampatternTable)
+        assert table.theta_t_deg == 2.5
+        assert table.power_dbm.tolist() == [[-60.0]]
+
+    def test_absorption_header_after_a_comment(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# x\ntheta_n,phi_n,n_4\n0,0,-60\n")
+        table = read_table(p)
+        assert isinstance(table, AbsorptionTable)
+        assert table.active_counts.tolist() == [4]
+
+    def test_rows_after_comments_located(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# theta_t=0\n# x\ntheta_n,phi_n,rot_0\n0,0,-60\n3,0\n")
+        with pytest.raises(ParseError, match="line 5"):
             read_table(p)
 
 

@@ -101,6 +101,17 @@ def test_spec_larger_than_the_file_rejected(spec):
     assert _load_outcome(("\n".join(lines) + "\n").encode()) is None
 
 
+@pytest.mark.parametrize("field", [1, 2])
+def test_counts_past_numpy_indexing_rejected(field):
+    # a mutation test_line_mutations draws: 2**63 layers once overflowed
+    # itertools.repeat with an OverflowError
+    lines = VALID.splitlines()
+    parts = lines[1].split(" ")
+    parts[field] = "9223372036854775808"
+    lines[1] = " ".join(parts)
+    assert _load_outcome(("\n".join(lines) + "\n").encode()) is None
+
+
 @FUZZ
 @given(st.data())
 def test_line_mutations(data):
