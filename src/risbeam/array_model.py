@@ -93,6 +93,13 @@ class ArraySpec:
                               "numpy can index")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise DomainError(f"element pitch must be positive, got {self.delta!r}")
+        # the difference of two path phases, 2*pi*delta*k each, stays
+        # finite; past that 2*pi*delta overflows, and inf * 0 is nan
+        if not np.isfinite(2 * TWO_PI * float(self.delta)
+                           * (float(self.nx) + float(self.ny))):
+            raise DomainError(
+                f"element pitch {self.delta!r} is too large for a "
+                f"{self.nx} x {self.ny} array: path phases are not finite")
         if not (np.isfinite(self.frequency_hz) and self.frequency_hz > 0):
             raise DomainError("carrier frequency must be positive")
 

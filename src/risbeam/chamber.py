@@ -19,8 +19,8 @@ import numpy as np
 
 from .array_model import (INDEX_LIMIT, ArraySpec, Direction, SPEED_OF_LIGHT,
                           _is_int, element_phase_profile, received_signal)
-from .codebook import (_SIDES, Codebook, _axis_values, _refuse_absorbing,
-                       _row_blocks, absorption_masks)
+from .codebook import (_INTP_BYTES, _SIDES, Codebook, _axis_values,
+                       _refuse_absorbing, _row_blocks, absorption_masks)
 from .datasets import AbsorptionTable, BeampatternTable
 from .errors import DomainError, NotFoundError
 
@@ -193,39 +193,42 @@ def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     return np.round(power, POWER_DECIMALS)
 
 
-def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
+def _magnitudes(spec: ArraySpec, n: int, blocks, tx: Direction,
                 rx_dirs: list) -> np.ndarray:
-    """|y| for every (config row, rx direction) pair.
+    """|y| for each of `n` configs and every rx direction.
 
-    `indices` holds one row of phase-set indices per config; each is looked
-    up in the phasor table exp(1j * phase_set), which equals exp(1j * phase)
-    cell by cell.  The product runs in blocks of whole 64-config multiples
-    (about _BLOCK_ELEMENTS cells), a remainder under 64 configs merged into
-    the last block.  So no block is a one-row matrix-vector product, whose
-    sums round differently, and every block starts on the kernels' row
-    unroll: each |y| keeps the bits of one product over all rows.
+    `blocks` yields (rows, indices): a slice of the configs and their rows
+    of phase-set indices, valid until the next block is asked for.  Each
+    index is looked up in the phasor table exp(1j * phase_set), which
+    equals exp(1j * phase) cell by cell.  The blocks must be the product
+    blocks, _row_blocks(n, spec.size, _PRODUCT_ROWS): whole 64-config
+    multiples (about _BLOCK_ELEMENTS cells), a remainder under 64 configs
+    merged into the last block.  So no block is a one-row matrix-vector
+    product, whose sums round differently, and every block starts on the
+    kernels' row unroll: each |y| keeps the bits of one product over all
+    rows, however the indices were made.
 
     Every block is gathered into the head of one buffer sized to the
     largest block and scaled in place; IEEE products commute, so this
-    keeps the bits of ``spec.mask * phasors[indices[rows]] * g``.  The
-    gather casts its indices to intp, so a block over _BLOCK_ELEMENTS
-    cells is gathered in row slices of at most that many.
+    keeps the bits of ``spec.mask * phasors[indices] * g``.  The gather
+    casts its indices to intp, so it runs in row slices whose intp copy
+    stays within _BLOCK_ELEMENTS bytes (one row when a row holds more).
     """
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.empty((spec.size, len(rx_dirs)), dtype=complex)  # conjugated
     for col, rx in enumerate(rx_dirs):
         h[:, col] = np.exp(-1j * element_phase_profile(spec, rx))
     phasors = np.exp(1j * spec.phase_set)
-    mag = np.empty((indices.shape[0], len(rx_dirs)))    # (n_cfg, n_rx)
-    blocks = _row_blocks(*indices.shape, _PRODUCT_ROWS)
-    buf = np.empty((max((b.stop - b.start for b in blocks), default=0),
-                    spec.size), dtype=complex)
-    for rows in blocks:
+    mag = np.empty((n, len(rx_dirs)))    # (n_cfg, n_rx)
+    largest = max((b.stop - b.start
+                   for b in _row_blocks(n, spec.size, _PRODUCT_ROWS)),
+                  default=0)
+    buf = np.empty((largest, spec.size), dtype=complex)
+    for rows, block in blocks:
         excited = buf[:rows.stop - rows.start]
-        block = indices[rows]
-        for part in _row_blocks(*block.shape):
-            # Codebook validated the indices, so clipping changes none;
-            # unlike the default mode it writes to `out` without a copy
+        for part in _row_blocks(block.shape[0], spec.size * _INTP_BYTES):
+            # the indices are in range, so clipping changes none; unlike
+            # the default mode it writes to `out` without a copy
             np.take(phasors, block[part], out=excited[part], mode="clip")
         excited *= spec.mask
         excited *= g
@@ -233,20 +236,26 @@ def _magnitudes(spec: ArraySpec, indices: np.ndarray, tx: Direction,
     return mag
 
 
-def _rsrp_matrix(spec: ArraySpec, indices: np.ndarray, tx: Direction,
+def _rsrp_matrix(spec: ArraySpec, n: int, blocks, tx: Direction,
                  rx_dirs: list, budget: LinkBudget) -> np.ndarray:
-    """Noise-free RSRP for every (config row, rx direction) pair.
+    """Noise-free RSRP for each of `n` configs, given as the product
+    `blocks` of _magnitudes, and every rx direction.
 
     Same math as the scalar rsrp(), vectorized over both axes.
     """
     m = spec.active_count
     if m == 0:
-        return np.full((indices.shape[0], len(rx_dirs)),
-                       float(budget.noise_floor_dbm))
-    mag = _magnitudes(spec, indices, tx, rx_dirs)
+        return np.full((n, len(rx_dirs)), float(budget.noise_floor_dbm))
+    mag = _magnitudes(spec, n, blocks, tx, rx_dirs)
     with np.errstate(divide="ignore"):
         signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
     return _combine_with_floor(signal, budget.noise_floor_dbm)
+
+
+def _product_blocks(codebook):
+    """The codebook's indices in the product blocks of _magnitudes."""
+    return codebook._blocks(_row_blocks(len(codebook), codebook.spec.size,
+                                        _PRODUCT_ROWS))
 
 
 def sweep_beampattern(codebook: Codebook, geometry: ChamberGeometry,
@@ -256,13 +265,16 @@ def sweep_beampattern(codebook: Codebook, geometry: ChamberGeometry,
     The array, mask included, is the codebook's.  With sample_sigma_db = 0
     the table is deterministic and identical for every seed.  Cells are
     rounded to the dataset serialization precision, so a table written to
-    CSV reads back exactly equal.
+    CSV reads back exactly equal.  The CLI's simulate passes a
+    codebook._StreamedCodebook, whose configs are quantized a product
+    block at a time as they are swept.
     """
     seed = _check_sweep(codebook, geometry, seed)
     rotations = geometry.rotations()
     rx_dirs = [geometry.rx_dir(r) for r in rotations]
-    power = _rsrp_matrix(codebook.spec, codebook.indices, geometry.tx_dir,
-                         rx_dirs, budget)
+    power = _rsrp_matrix(codebook.spec, len(codebook),
+                         _product_blocks(codebook),
+                         geometry.tx_dir, rx_dirs, budget)
     return BeampatternTable(codebook.beams.copy(), rotations.astype(float),
                             _measured(power, budget, seed),
                             float(geometry.tx_dir.azimuth_deg))
@@ -279,8 +291,9 @@ def sweep_absorption(codebook: Codebook, geometry: ChamberGeometry,
     seed = _check_sweep(codebook, geometry, seed)
     _refuse_absorbing(codebook.spec, "subarray masks replace the array's own")
     rx = [geometry.rx_dir(0.0)]
-    columns = [_rsrp_matrix(masked, codebook.indices, geometry.tx_dir, rx,
-                            budget)[:, 0]
+    columns = [_rsrp_matrix(masked, len(codebook),
+                            _product_blocks(codebook),
+                            geometry.tx_dir, rx, budget)[:, 0]
                for masked in absorption_masks(codebook.spec)]
     counts = np.array([s * s for s in _SIDES], dtype=int)
     return AbsorptionTable(codebook.beams.copy(), counts,

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, surrogate, svgplot
 from .array_model import Direction
 from .chamber import sweep_absorption, sweep_beampattern
-from .codebook import build_codebook, write_codebook
+from .codebook import _StreamedCodebook, build_codebook, write_codebook
 from .config import CampaignConfig, load_campaign_config
 from .datasets import (
     AbsorptionTable,
@@ -68,11 +68,16 @@ def _cmd_codebook(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_campaign_config(args.config)
-    codebook = build_codebook(config.array, config.geometry.tx_dir, config.grid,
-                              config.mode)
-    sweep, write = ((sweep_beampattern, write_beampattern)
-                    if args.dataset == "beampattern"
-                    else (sweep_absorption, write_absorption))
+    if args.dataset == "beampattern":
+        # quantized a block of beams at a time as it is swept, so the
+        # index matrix is never held whole
+        codebook = _StreamedCodebook(config.array, config.geometry.tx_dir,
+                                     config.grid, config.mode)
+        sweep, write = sweep_beampattern, write_beampattern
+    else:
+        codebook = build_codebook(config.array, config.geometry.tx_dir,
+                                  config.grid, config.mode)
+        sweep, write = sweep_absorption, write_absorption
     table = sweep(codebook, config.geometry, config.budget, seed=config.seed)
     path = _out_path(config, args.out, f"{args.dataset}.csv")
     write(table, path)

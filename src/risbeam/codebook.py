@@ -8,6 +8,7 @@ Rows are ordered azimuth-major with elevation varying fastest, i.e.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .array_model import (_PER_RADIAN, _TRUSTED, ArraySpec, Direction,
                           quantize_phases, TWO_PI)
 from .datasets import (_as_beams, _ascii_rows, _beam_index, _check_beams,
                        _fixed_rows, _fmt_angle, _fmt_exact, _header,
-                       _parse_rows, _read_lines, _write_rows)
+                       _iter_lines, _parse_rows, _write_rows)
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -40,6 +41,8 @@ _SIDES = (2, 4, 8, 10)  # the paper's absorption subarray sides
 # float and complex temporaries stay a few MB, near cache size, however
 # large the array grows.
 _BLOCK_ELEMENTS = 1 << 18
+# np.take copies its indices as intp: one cell's share of such a copy
+_INTP_BYTES = np.dtype(np.intp).itemsize
 
 
 def _check_mode(mode) -> None:
@@ -151,6 +154,36 @@ class Codebook:
         return _beam_index(self.beams, (beam.azimuth_deg, beam.elevation_deg),
                            "codebook")
 
+    def _blocks(self, cuts):
+        """(rows, indices) for each slice of rows in `cuts`."""
+        for rows in cuts:
+            yield rows, self.indices[rows]
+
+
+@dataclass(frozen=True, eq=False)
+class _StreamedCodebook:
+    """The codebook build_codebook would return, quantized a block of beams
+    at a time as it is read, so its index matrix is never held whole.  The
+    sweeps take it where they take a Codebook: both have spec, tx, beams,
+    a length and _blocks.  `mode` must be checked."""
+
+    spec: ArraySpec
+    tx: Direction
+    grid: CodebookGrid
+    mode: str
+
+    @property
+    def beams(self) -> np.ndarray:
+        return _grid_beams(self.grid)
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def _blocks(self, cuts):
+        """(rows, indices) for each slice of rows in `cuts`, each block
+        overwritten by the next (see _index_blocks)."""
+        return _index_blocks(self.spec, self.tx, self.grid, self.mode, cuts)
+
 
 def _fixed_point(phases: np.ndarray) -> np.ndarray:
     """Phases as uint32 positions on the circle: one turn is 2**32, so a
@@ -161,28 +194,36 @@ def _fixed_point(phases: np.ndarray) -> np.ndarray:
         np.int64).astype(np.uint32)
 
 
-def build_codebook(spec: ArraySpec, tx: Direction,
-                   grid: CodebookGrid = CodebookGrid(),
-                   mode: str = MODE_TX_COMPENSATED) -> Codebook:
-    """Quantized config per grid beam.
+def _grid_beams(grid: CodebookGrid) -> np.ndarray:
+    """The grid's (azimuth, elevation) beams in codebook order."""
+    azimuths, elevations = grid.azimuths(), grid.elevations()
+    return np.column_stack([
+        np.repeat(azimuths.astype(float), elevations.size),
+        np.tile(elevations.astype(float), azimuths.size),
+    ])
 
-    tx-compensated rows equal quantize_config(ideal_config(spec, tx, beam));
-    uncompensated rows drop the transmitter term and quantize arg h(beam)
-    alone, which shifts the real beam away from the nominal label.
+
+def _index_blocks(spec: ArraySpec, tx: Direction, grid: CodebookGrid,
+                  mode: str, cuts: list):
+    """Quantized configs of the grid's beams, as (rows, indices) for each
+    slice of beams in `cuts`, in order.
 
     The phase of cell (ix, iy) in beam (az, el) is separable: px[az, ix] +
     py[el, iy] minus the tx profile ptx[ix] + pty[iy].  Each axis keeps
-    px - ptx or py - pty as fixed-point positions, and a block of beams
+    px - ptx or py - pty as fixed-point positions, and a part of a block
     costs one uint32 add and one lookup in quantize_phases' bucket table.
     A settled bucket lies at least a quarter bucket from every midpoint
     between entries, and a position is within 2**-14 bucket of the exact
     float phase, so both have the same nearest entry.  Cells in unsettled
     buckets, and all cells when a phase may exceed 2**20 in magnitude,
     take the exact route: their float phase (px + py) - tx profile goes
-    to quantize_phases.  So every index, whatever the block size, is the
-    one quantize_phases gives for the cell's float phase.
+    to quantize_phases.  So every index, whatever the cuts, is the one
+    quantize_phases gives for the cell's float phase.
+
+    Each block is quantized in parts of at most _BLOCK_ELEMENTS cells (one
+    row when a row holds more) into one buffer sized to the longest cut:
+    a yielded block is overwritten by the next.  `mode` must be checked.
     """
-    _check_mode(mode)
     azimuths = grid.azimuths()
     elevations = grid.elevations()
 
@@ -193,9 +234,8 @@ def build_codebook(spec: ArraySpec, tx: Direction,
     tx_profile = element_phase_profile(spec, tx)
     if mode == MODE_UNCOMPENSATED:
         tx_profile = np.zeros_like(tx_profile)
-    n = azimuths.size * elevations.size
-    indices = np.empty((n, spec.size), dtype=_index_type(spec.phase_set))
-    blocks = _row_blocks(n, spec.size)
+    out = np.empty((max(c.stop - c.start for c in cuts), spec.size),
+                   dtype=_index_type(spec.phase_set))
 
     # False for nan too: a non-finite phase then fails in quantize_phases
     trusted = (np.abs(px).max() + np.abs(py).max()
@@ -209,36 +249,57 @@ def build_codebook(spec: ArraySpec, tx: Direction,
         owners = _bucket_owners(spec.phase_set)
         owners = np.where(owners < 0, unsettled, owners).astype(
             np.min_scalar_type(unsettled))
-        # per-block buffers, sized for the first block, the longest
-        longest = blocks[0].stop * spec.size
+        # per-part buffers, sized for the first part, the longest
+        longest = _row_blocks(*out.shape)[0].stop * spec.size
         pos = np.empty(longest, dtype=np.uint32)
         owner = np.empty(longest, dtype=owners.dtype)
-    for rows in blocks:
-        az, el = np.divmod(np.arange(rows.start, rows.stop), elevations.size)
-        block = indices[rows].reshape(-1)
-        if trusted:
-            cells = slice(block.size)
-            np.add(ax[az][:, :, None], ay[el][:, None, :],
-                   out=pos[cells].reshape(az.size, spec.nx, spec.ny))
-            bucket = pos[cells]
-            bucket >>= 16
-            # the buckets are in range, so "clip" changes none; "raise" copies
-            np.take(owners, bucket, out=owner[cells], mode="clip")
-            block[...] = owner[cells]
-            unsure = np.flatnonzero(owner[cells] == unsettled)
-        else:
-            unsure = np.arange(block.size)
-        if unsure.size:
-            beam, cell = np.divmod(unsure, spec.size)
-            ix, iy = np.divmod(cell, spec.ny)
-            raw = (px[az[beam], ix] + py[el[beam], iy]) - tx_profile[cell]
-            block[unsure] = quantize_phases(raw, spec.phase_set)
+    for rows in cuts:
+        block = out[:rows.stop - rows.start]
+        for part in _row_blocks(*block.shape):
+            az, el = np.divmod(np.arange(rows.start + part.start,
+                                         rows.start + part.stop),
+                               elevations.size)
+            flat = block[part].reshape(-1)
+            if trusted:
+                cells = slice(flat.size)
+                np.add(ax[az][:, :, None], ay[el][:, None, :],
+                       out=pos[cells].reshape(az.size, spec.nx, spec.ny))
+                bucket = pos[cells]
+                bucket >>= 16
+                # the buckets are in range: "clip" changes none, "raise"
+                # copies; take copies the buckets as intp, a slice at a time
+                for sub in _row_blocks(flat.size, _INTP_BYTES):
+                    np.take(owners, bucket[sub], out=owner[sub], mode="clip")
+                flat[...] = owner[cells]
+                unsure = np.flatnonzero(owner[cells] == unsettled)
+            else:
+                unsure = np.arange(flat.size)
+            if unsure.size:
+                beam, cell = np.divmod(unsure, spec.size)
+                ix, iy = np.divmod(cell, spec.ny)
+                raw = (px[az[beam], ix] + py[el[beam], iy]) - tx_profile[cell]
+                flat[unsure] = quantize_phases(raw, spec.phase_set)
+        yield rows, block
 
-    beams = np.column_stack([
-        np.repeat(azimuths.astype(float), elevations.size),
-        np.tile(elevations.astype(float), azimuths.size),
-    ])
-    return Codebook(spec, tx, mode, beams, indices)
+
+def build_codebook(spec: ArraySpec, tx: Direction,
+                   grid: CodebookGrid = CodebookGrid(),
+                   mode: str = MODE_TX_COMPENSATED) -> Codebook:
+    """Quantized config per grid beam.
+
+    tx-compensated rows equal quantize_config(ideal_config(spec, tx, beam));
+    uncompensated rows drop the transmitter term and quantize arg h(beam)
+    alone, which shifts the real beam away from the nominal label.  The
+    index matrix is filled from _index_blocks, a block of about
+    _BLOCK_ELEMENTS cells at a time.
+    """
+    _check_mode(mode)
+    n = len(grid)
+    indices = np.empty((n, spec.size), dtype=_index_type(spec.phase_set))
+    for rows, block in _index_blocks(spec, tx, grid, mode,
+                                     _row_blocks(n, spec.size)):
+        indices[rows] = block
+    return Codebook(spec, tx, mode, _grid_beams(grid), indices)
 
 
 def absorption_masks(spec: ArraySpec) -> list:
@@ -299,18 +360,35 @@ def _cell_rows(codebook: Codebook):
 
 
 def read_codebook(path) -> Codebook:
-    lines = _read_lines(path)
-    if not lines or not lines[0].startswith("# "):
+    """The codebook of a file written by write_codebook.
+
+    Body rows are parsed as the text streams in, into an index matrix
+    allocated once, so the file's text is never held whole.  A file that
+    is not UTF-8 text fails as such whatever else is wrong with it: on any
+    other error the rest of the file is still decoded."""
+    lines = _iter_lines(path)
+    try:
+        return _parse_codebook(path, lines)
+    except ParseError:
+        for _ in lines:
+            pass
+        raise
+
+
+def _parse_codebook(path, lines) -> Codebook:
+    first = next(lines, None)
+    if first is None or not first.startswith("# "):
         raise ParseError(f"{path}: missing codebook metadata comment line")
     meta = {}
-    for token in lines[0][2:].split():
+    for token in first[2:].split():
         if "=" not in token:
             raise ParseError(f"{path}: bad metadata token {token!r}")
         k, v = token.split("=", 1)
         meta[k] = v
-    if len(lines) < 2:
+    header = next(lines, None)
+    if header is None:
         raise ParseError(f"{path}: missing header row")
-    columns = sum(c.startswith("idx_") for c in lines[1].split(","))
+    columns = sum(c.startswith("idx_") for c in header.split(","))
     try:
         nx, ny = int(meta["nx"]), int(meta["ny"])
         # checked before ArraySpec: nx and ny alone could ask for any memory
@@ -326,14 +404,15 @@ def read_codebook(path) -> Codebook:
     except (ValueError, DomainError) as exc:
         raise ParseError(f"{path}: bad metadata: {exc}") from None
 
-    if lines[1] != _header("idx_%d" % k for k in range(spec.size)):
+    if header != _header("idx_%d" % k for k in range(spec.size)):
         raise ParseError(f"{path}: header does not match the codebook schema")
-    if len(lines) == 2:
+    # a row is 2 * size + 3 characters or more and, but for the last, a
+    # break, so the file's size bounds the rows; _parse_rows fits the matrix
+    bound = os.path.getsize(path) // (2 * spec.size + 4) + 1
+    rows = np.empty((bound, spec.size), dtype=_index_type(spec.phase_set))
+    beams = _parse_rows(path, lines, 3, rows, spec.phase_set.size)
+    if not len(beams):
         raise ParseError(f"{path}: no data rows")
-
-    rows = np.empty((len(lines) - 2, spec.size),
-                    dtype=_index_type(spec.phase_set))
-    beams = _parse_rows(path, lines[2:], 3, rows, spec.phase_set.size)
     try:
         return Codebook(spec, tx, mode, beams, rows)
     except DomainError as exc:

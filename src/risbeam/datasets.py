@@ -154,24 +154,33 @@ _READ_CHARS = 1 << 21
 _BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_lines(path, error=ParseError) -> list:
-    """Lines of a UTF-8 text file, without a leading byte-order mark;
-    undecodable bytes raise `error`.  The text streams in chunks of
-    _READ_CHARS characters, so a file longer than a chunk is never held as
-    one string next to its lines.  A chunk's unfinished last line goes on
-    in the next chunk; the reader holds back a carriage return that ends a
-    chunk, so a CR LF split across two chunks stays one break."""
+def _iter_lines(path, error=ParseError):
+    """Lines of a UTF-8 text file, without a leading byte-order mark, as
+    they are read; undecodable bytes raise `error`.  The text streams in
+    chunks of _READ_CHARS characters and each chunk's lines are let go
+    before the next is read, so a consumer that keeps no line holds a few
+    chunks at most.  A chunk's unfinished last line goes on in the
+    next chunk; the reader holds back a carriage return that ends a chunk,
+    so a CR LF split across two chunks stays one break."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = []
-            tail = fh.read(_READ_CHARS).removeprefix("\ufeff")
+            tail, mark = "", "\ufeff"  # a byte-order mark opens only the file
             while chunk := fh.read(_READ_CHARS):
-                lines += (tail + chunk).splitlines()
+                # a first chunk of just the mark leaves no text, and no line
+                lines = (tail + chunk.removeprefix(mark)).splitlines() or [""]
+                mark = ""
                 tail = "" if chunk[-1] in _BREAKS else lines.pop()
+                del chunk
+                yield from lines
+                del lines
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
-    lines += tail.splitlines()
-    return lines
+    yield from tail.splitlines()
+
+
+def _read_lines(path, error=ParseError) -> list:
+    """The lines of _iter_lines as one list."""
+    return list(_iter_lines(path, error))
 
 
 def _write_lines(path, lines) -> None:
@@ -411,8 +420,13 @@ def _digit_row(text: str, size: int, limit: int):
 
 
 def _parse_rows(path, lines, first_ln, cells, limit=None) -> np.ndarray:
-    """Parse ``<az>,<el>,<cells>`` lines into the preallocated `cells`
-    matrix and return the (n, 2) float beams.
+    """Parse ``<az>,<el>,<cells>`` lines into the rows of the matrix
+    `cells` and return the (n, 2) float beams of the n lines.
+
+    `lines` may be any iterable; each line is parsed as it arrives.
+    `cells` is resized in place to n rows, so a caller that cannot count
+    the lines ahead passes a matrix of a bound on them, which shrinks to
+    fit (and grows, should the bound fall short).
 
     One numpy call per line converts its cells, with float()'s syntax or,
     for integer phase-set indices, int()'s; those are checked against
@@ -424,8 +438,12 @@ def _parse_rows(path, lines, first_ln, cells, limit=None) -> np.ndarray:
     """
     n_fields = 2 + cells.shape[1]
     dtype = float if limit is None else np.int64
-    beams = np.empty((len(lines), 2))
+    beams = np.empty((cells.shape[0], 2))
+    n = 0
     for r, line in enumerate(lines):
+        if r == len(beams):
+            for grown in (beams, cells):
+                grown.resize((2 * r + 1, grown.shape[1]), refcheck=False)
         where = f"{path}: line {first_ln + r}: "
         row = None
         if limit is not None:
@@ -444,6 +462,10 @@ def _parse_rows(path, lines, first_ln, cells, limit=None) -> np.ndarray:
         if row is None:
             row = _convert_row(where, parts[2:], dtype, limit)
         cells[r] = row
+        n = r + 1
+    if n != len(beams):
+        for fitted in (beams, cells):
+            fitted.resize((n, fitted.shape[1]), refcheck=False)
     return beams
 
 

@@ -144,7 +144,9 @@ class MlpModel:
 
     def normalize_inputs(self, raw: np.ndarray) -> np.ndarray:
         span = np.where(self.input_hi > self.input_lo, self.input_hi - self.input_lo, 1.0)
-        return 2.0 * (raw - self.input_lo) / span - 1.0
+        # divided before doubling, so an input near the float limit cannot
+        # overflow; doubling is exact, so in range the bits are the same
+        return 2.0 * ((raw - self.input_lo) / span) - 1.0
 
     def forward(self, normalized: np.ndarray) -> np.ndarray:
         # hidden layers take turns in two buffers, so memory does not grow

@@ -99,6 +99,22 @@ class TestArraySpec:
         with pytest.raises(DomainError):
             ArraySpec(4, 4, mask=np.ones(15, dtype=bool))
 
+    @pytest.mark.parametrize("nx, ny, delta", [
+        (1, 1, 1e308),   # 2*pi*delta overflows, and times element 0 is nan
+        (10, 10, 1e306),  # a path phase is finite, the difference of two not
+        (2**40, 1, 2e295)])
+    def test_pitch_whose_path_phases_overflow_is_refused(self, nx, ny,
+                                                          delta):
+        with pytest.raises(DomainError, match="path phases are not finite"):
+            ArraySpec(nx, ny, delta=delta)
+
+    def test_huge_finite_pitch_is_kept(self):
+        spec = ArraySpec(10, 10, delta=1e300)
+        beam = Direction(30.0, -20.0)
+        assert np.all(np.isfinite(element_phase_profile(spec, beam)
+                                  - element_phase_profile(spec, Direction(
+                                      -90.0, 90.0))))
+
     def test_mask_counts(self):
         mask = np.zeros(16, dtype=bool)
         mask[:3] = True

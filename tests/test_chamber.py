@@ -22,6 +22,7 @@ from risbeam.chamber import (
     ChamberGeometry,
     LinkBudget,
     SEED_LIMIT,
+    _PRODUCT_ROWS,
     _combine_with_floor,
     _magnitudes,
     _noise_means,
@@ -73,6 +74,12 @@ def one_product_magnitudes(spec, phases, tx, rx_dirs):
                          for rx in rx_dirs])
     excited = spec.mask * np.exp(1j * phases) * g
     return np.abs(excited @ h)
+
+
+def product_slices(indices):
+    """The product blocks of _magnitudes over a whole index matrix."""
+    for rows in codebook_module._row_blocks(*indices.shape, _PRODUCT_ROWS):
+        yield rows, indices[rows]
 
 
 def phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget):
@@ -412,8 +419,10 @@ class TestPhasorLookup:
         block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
                  else block_rows * spec.size)
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
-            mag = _magnitudes(spec, indices, tx, rx_dirs)
-            got = _rsrp_matrix(spec, indices, tx, rx_dirs, budget)
+            mag = _magnitudes(spec, configs, product_slices(indices), tx,
+                              rx_dirs)
+            got = _rsrp_matrix(spec, configs, product_slices(indices), tx,
+                               rx_dirs, budget)
         phases = phase_set[indices]
         # the dB conversion can round away last-bit changes of |y|, so |y| is
         # compared too

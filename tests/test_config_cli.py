@@ -1,14 +1,24 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import risbeam
 
 from risbeam.analysis import SgFilterSpec, savitzky_golay
 from risbeam.array_model import ArraySpec
 from risbeam.chamber import ChamberGeometry, LinkBudget, field_regions
-from risbeam import cli, errors
+from risbeam import cli, codebook, datasets, errors
 from risbeam.cli import _build_parser, main
 from risbeam.codebook import CodebookGrid, MODE_UNCOMPENSATED, read_codebook
 from risbeam.config import (
@@ -295,6 +305,102 @@ def test_large_array_outputs_pinned(tmp_path, capsys):
         "beampattern.csv": "b5d4036841fbec16584367930e0679f6"
                            "e075a6484becf93c43c089db1666f607",
     }
+
+
+# two elevations of 61 beams, 13 rotations: blocks of a few rows still cut
+# the codebook, the sweep and the tables many times
+BLOCK_CAMPAIGN = """
+[codebook]
+elevation_min_deg = -3
+elevation_max_deg = 0
+elevation_step_deg = 3
+
+[geometry]
+rotation_step_deg = 15
+"""
+
+
+def _block_outputs(ini: Path, out: Path) -> tuple:
+    """The noisy codebook, beampattern and absorption files of `ini`, and
+    the codebook read back."""
+    for argv, name in ((["codebook"], "codebook.csv"),
+                       (["simulate"], "beampattern.csv"),
+                       (["simulate", "--dataset", "absorption"],
+                        "absorption.csv")):
+        assert main([*argv, "--config", str(ini), "--out",
+                     str(out / name)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return files, read_codebook(out / "codebook.csv")
+
+
+@pytest.fixture(scope="module")
+def block_reference(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("blocks")
+    ini = tmp / "campaign.ini"
+    ini.write_text(BLOCK_CAMPAIGN)
+    out = tmp / "out"
+    out.mkdir()
+    return ini, *_block_outputs(ini, out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(block=st.integers(1, 5000), text=st.integers(1, 300),
+       chars=st.integers(1, 4096))
+def test_block_constants_leave_outputs_unchanged(block, text, chars,
+                                                 block_reference):
+    """The cells quantized, gathered and drawn at a time, the power cells
+    spelled at a time and the characters read at a time change no byte of
+    the codebook and of either table, and no index read back.
+    _PRODUCT_ROWS stays: it sets the product's bits."""
+    ini, files, cb = block_reference
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(codebook, "_BLOCK_ELEMENTS", block), \
+            mock.patch.object(datasets, "_TEXT_CELLS", text), \
+            mock.patch.object(datasets, "_READ_CHARS", chars):
+        got_files, got_cb = _block_outputs(ini, Path(d))
+    assert got_files == files
+    assert (got_cb.spec.nx, got_cb.spec.ny, got_cb.spec.delta, got_cb.tx,
+            got_cb.mode) == (cb.spec.nx, cb.spec.ny, cb.spec.delta, cb.tx,
+                             cb.mode)
+    np.testing.assert_array_equal(got_cb.spec.phase_set, cb.spec.phase_set)
+    np.testing.assert_array_equal(got_cb.beams, cb.beams)
+    assert got_cb.indices.dtype == cb.indices.dtype
+    np.testing.assert_array_equal(got_cb.indices, cb.indices)
+
+
+def _cli_in_child(*argv) -> tuple:
+    """(exit code, stderr) of the CLI in a fresh interpreter, where numpy's
+    warnings print as a user would see them."""
+    src = Path(risbeam.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "risbeam.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["codebook", "simulate"])
+def test_overflowing_pitch_is_one_config_error(command, tmp_path):
+    """At a pitch of 1e308, 2*pi*pitch overflows: the array is refused
+    with one line, before any phase is computed."""
+    ini = tmp_path / "c.ini"
+    ini.write_text("[array]\nelement_spacing_wavelengths = 1e308\n")
+    out = tmp_path / "out.csv"
+    code, err = _cli_in_child(command, "--config", str(ini), "--out",
+                              str(out))
+    assert code == 2
+    assert err.splitlines() == [
+        "config error: element pitch 1e+308 is too large for a 10 x 10 "
+        "array: path phases are not finite"]
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_huge_finite_pitch_still_builds(tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[array]\nelement_spacing_wavelengths = 1e300\n")
+    assert main(["codebook", "--config", str(ini),
+                 "--out", str(tmp_path / "cb.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestSimulateCommand:
@@ -747,6 +853,13 @@ def default_model(tmp_path_factory, default_beampattern_csv):
     assert main(["train", str(default_beampattern_csv), "--out", str(path),
                  "--epochs", "4", "--seed", "0"]) == 0
     return path
+
+
+def test_predict_at_the_float_limit_warns_nothing(default_model):
+    """The rotation -1e308 is normalized without overflow."""
+    code, err = _cli_in_child("predict", str(default_model),
+                              "--at=30,6,-1e308")
+    assert (code, err) == (0, "")
 
 
 def test_surrogate_model_pinned(default_beampattern_csv, default_model):

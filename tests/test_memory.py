@@ -1,6 +1,7 @@
 """Memory follows the output: the codebook check, the RSRP product, the
-chamber noise, the line reader and the power text allocate no array or
-string the size of their whole input beyond what they return.  Each test
+streamed simulate, the chamber noise, the line and codebook readers and
+the power text allocate no array or string the size of their whole input
+beyond what they return.  Each test
 traces one call with tracemalloc, which sees numpy's data buffers as well
 as Python objects."""
 
@@ -15,10 +16,11 @@ from risbeam import datasets
 from risbeam.array_model import ArraySpec, Direction
 from risbeam.chamber import (_PRODUCT_ROWS, LinkBudget, _magnitudes,
                              _noise_means)
-from risbeam.cli import _prediction_lines
+from risbeam.cli import _prediction_lines, main
 from risbeam.codebook import (_BLOCK_ELEMENTS, MODE_TX_COMPENSATED, Codebook,
-                              _index_type, _row_blocks)
-from risbeam.datasets import BeampatternTable, _power_rows
+                              _index_type, _row_blocks, build_codebook,
+                              read_codebook, write_codebook)
+from risbeam.datasets import BeampatternTable, _power_rows, read_table
 
 
 def traced_peak(call):
@@ -44,22 +46,31 @@ def test_codebook_check_allocates_no_index_sized_array():
     assert peak < indices.nbytes // 16
 
 
+def product_slices(indices):
+    """The product blocks of _magnitudes over a whole index matrix."""
+    for rows in _row_blocks(*indices.shape, _PRODUCT_ROWS):
+        yield rows, indices[rows]
+
+
 def test_magnitudes_peak_is_one_block_buffer():
     """Beyond `h` and the result, the product holds one largest-block
-    complex buffer and, while a block is gathered into it, the block's
-    indices as intp; a previous block is never alive next to the next."""
+    complex buffer and, while a block is gathered into it, a row slice of
+    the block's indices as intp; a previous block is never alive next to
+    the next."""
     spec = ArraySpec(32, 32)
     indices = np.random.default_rng(0).integers(
         0, 8, (1024, spec.size)).astype(_index_type(spec.phase_set))
     rx_dirs = [Direction(float(az), -3.0) for az in range(-90, 91, 3)]
     mag, peak = traced_peak(lambda: _magnitudes(
-        spec, indices, Direction(0, -33), rx_dirs))
+        spec, len(indices), product_slices(indices), Direction(0, -33),
+        rx_dirs))
     block = max(b.stop - b.start
                 for b in _row_blocks(*indices.shape, _PRODUCT_ROWS))
     assert block < indices.shape[0]  # more than one block runs
     h = spec.size * len(rx_dirs) * np.dtype(complex).itemsize
     buf = block * spec.size * np.dtype(complex).itemsize
-    gather = block * spec.size * np.dtype(np.intp).itemsize
+    gather = _BLOCK_ELEMENTS  # bytes of intp, a row slice at a time
+    assert gather < block * spec.size * np.dtype(np.intp).itemsize
     # slack for the ufuncs' casting buffers
     assert peak < h + buf + gather + mag.nbytes + (256 << 10)
 
@@ -67,21 +78,67 @@ def test_magnitudes_peak_is_one_block_buffer():
 def test_magnitudes_gathers_a_large_block_in_slices():
     """A 64-config block of a 96x96 array is over _BLOCK_ELEMENTS cells;
     its intp copy of the indices is made a row slice at a time, so it
-    never holds more than _BLOCK_ELEMENTS of them."""
+    never holds more than _BLOCK_ELEMENTS bytes of them."""
     spec = ArraySpec(96, 96)
     indices = np.random.default_rng(0).integers(
         0, 8, (2 * _PRODUCT_ROWS, spec.size)).astype(
             _index_type(spec.phase_set))
     rx_dirs = [Direction(float(az), -3.0) for az in range(-90, 91, 3)]
     mag, peak = traced_peak(lambda: _magnitudes(
-        spec, indices, Direction(0, -33), rx_dirs))
+        spec, len(indices), product_slices(indices), Direction(0, -33),
+        rx_dirs))
     assert _PRODUCT_ROWS * spec.size > _BLOCK_ELEMENTS
     h = spec.size * len(rx_dirs) * np.dtype(complex).itemsize
     g = spec.size * np.dtype(complex).itemsize  # the transmit phasors
     buf = _PRODUCT_ROWS * spec.size * np.dtype(complex).itemsize
-    gather = _BLOCK_ELEMENTS * np.dtype(np.intp).itemsize
+    gather = _BLOCK_ELEMENTS
     # slack for the ufuncs' casting buffers
     assert peak < h + g + buf + gather + mag.nbytes + (256 << 10)
+
+
+def test_simulate_peak_does_not_grow_with_the_grid(tmp_path, capsys):
+    """simulate quantizes each product block of beams as it sweeps it, so
+    beyond the table, its peak stays put when the beam grid doubles: no
+    index matrix of the grid (here 4 KB a beam) is held.  Both grids cut
+    into whole 64-beam product blocks, so their buffers are the same."""
+    peaks = {}
+    for elevations in (2, 4):
+        ini = tmp_path / f"g{elevations}.ini"
+        ini.write_text(
+            "[array]\nnx = 64\nny = 64\n[budget]\nsample_sigma_db = 0\n"
+            "[codebook]\nazimuth_min_deg = -63\nazimuth_max_deg = 63\n"
+            "azimuth_step_deg = 2\nelevation_min_deg = 0\n"
+            f"elevation_max_deg = {elevations - 1}\nelevation_step_deg = 1\n")
+        out = tmp_path / f"g{elevations}.csv"
+        argv = ["simulate", "--config", str(ini), "--out", str(out)]
+        assert main(argv) == 0  # first runs allocate once-only state
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        power = read_table(out).power_dbm
+        peaks[power.shape[0]] = (peak, power.nbytes)
+    (n1, (peak1, table1)), (n2, (peak2, table2)) = sorted(peaks.items())
+    assert (n1, n2) == (128, 256)
+    # the index rows the doubling adds are 512 KB
+    assert (peak2 - table2) - (peak1 - table1) < (n2 - n1) * 64 * 64 // 16
+
+
+def test_read_codebook_peak_is_its_matrix_plus_a_few_chunks(tmp_path):
+    """Rows are parsed as the text streams in, into a matrix allocated
+    once, so the file's text is never held whole."""
+    spec = ArraySpec(32, 32)
+    p = tmp_path / "cb.csv"
+    write_codebook(build_codebook(spec, Direction(0, -33)), p)
+    chars = 1 << 17
+    with mock.patch.object(datasets, "_READ_CHARS", chars):
+        cb, peak = traced_peak(lambda: read_codebook(p))
+    assert len(cb) == 1891
+    assert p.stat().st_size > 16 * chars  # the file spans many chunks
+    returned = cb.indices.nbytes + cb.beams.nbytes
+    # Python objects of the size of a beam or of a column, not of the
+    # file: Codebook's duplicate-beam check makes a tuple of each beam,
+    # and the header's column names are split and built again
+    objects = 256 * len(cb) + 128 * spec.size
+    assert peak < returned + 4 * chars + objects
 
 
 @pytest.mark.parametrize("samples", [1, 30])

@@ -99,6 +99,30 @@ def test_every_public_name_has_a_caller():
     assert [n for n in risbeam.__all__ if n not in used] == []
 
 
+def test_tracer_targets_resolve():
+    """Every (module, class, attribute) that perfbench/tracing.py wraps is
+    defined where the tracer looks it up, so a traced benchmark run can
+    install its wrappers.  TARGETS is read with ast: perfbench is not
+    imported."""
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    missing = []
+    for entry in targets.elts:
+        module, cls, attr = (ast.literal_eval(e) for e in entry.elts[:3])
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append((module, cls, attr))
+    assert len(targets.elts) > 0
+    assert missing == []
+
+
 def test_public_settable_parameter_count():
     count = 0
     for name in risbeam.__all__:
