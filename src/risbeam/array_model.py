@@ -200,90 +200,22 @@ def ideal_config(spec: ArraySpec, tx: Direction, beam: Direction) -> PhaseConfig
     return PhaseConfig(raw % TWO_PI)
 
 
-# The bucket table of quantize_phases: [0, 2*pi) is cut into _BUCKETS equal
-# buckets, and a phase of magnitude above _TRUSTED skips the table.  Up to
-# that magnitude the float error of a phase's bucket position stays below
-# 2**-18 of a bucket, far inside the quarter-bucket margin the table keeps.
-# codebook.build_codebook reads the same table with the top 16 bits of a
-# uint32 position, so it relies on both constants.
-_BUCKETS = 1 << 16
-_TRUSTED = float(1 << 20)
-_PER_RADIAN = _BUCKETS / TWO_PI
-
-
-def _bucket_owners(phase_set: np.ndarray) -> np.ndarray:
-    """The phase-set index that owns each bucket, or -1 where the table
-    cannot settle a phase.
-
-    Entry k owns the arc between its two circular midpoints; the gap from
-    entry K-1 round to entry 0 holds 2*pi, so the table starts with its
-    part past 2*pi and ends with its part below.  A phase more than a
-    quarter bucket from every midpoint is nearer to one of its two
-    bracketing entries by far more than float rounding, and
-    _quantize_exact, which compares just those two, picks that owner.
-    Buckets near a midpoint are -1, and so is every bucket when all
-    entries lie within one: the short way round, both ends of such a
-    cluster are then about equally far from any phase.
-    """
-    gaps = np.diff(phase_set, append=phase_set[0] + TWO_PI)
-    if (TWO_PI - gaps.max()) * _PER_RADIAN < 1.0:
-        return np.full(_BUCKETS, -1, dtype=np.int64)
-    mids = (phase_set + gaps / 2) * _PER_RADIAN
-    edges = np.ceil(mids).astype(np.intp)
-    bounds = np.clip(np.append(edges[-1] - _BUCKETS, edges), 0, _BUCKETS)
-    k = phase_set.size
-    owners = np.repeat(np.r_[k - 1, 0:k, 0].astype(np.int64),
-                       np.diff(bounds, prepend=0, append=_BUCKETS))
-    near = np.floor(mids[:, None] + [-0.25, 0.25]).astype(np.intp)
-    owners[near & (_BUCKETS - 1)] = -1
-    return owners
-
-
 def quantize_phases(phases: np.ndarray, phase_set: np.ndarray) -> np.ndarray:
     """Indices of the circularly nearest phase-set entry, ties to the lower index.
 
     phase_set must ascend within [0, 2*pi).  Nearest means least
-    min(s, 2*pi - s) for s = |phases % 2*pi - entry|.  Each call builds a
-    table of 2**16 buckets over [0, 2*pi), in O(K + 2**16) and with no
-    cache, and looks every phase up by its bucket.  The cells the table
-    cannot settle (near a midpoint between entries, or beyond 2**20 in
-    magnitude) go through _quantize_exact, so every index is the one that
-    search alone gives.  A nan or inf phase raises DomainError.
+    min(s, 2*pi - s) for s = |phases % 2*pi - entry|.  Each wrapped phase is
+    compared with just its two circular neighbours, found by binary search,
+    so memory is O(n).  This is the full argmin, exact ties included,
+    unless float distances to two entries tie beyond both, as at 3.5 for
+    entries 1.0 and 1.0 + 2**-52: there it keeps the bracketing entry where
+    the full argmin takes the lower index.  A nan or inf phase raises
+    DomainError.
     """
     phases = np.asarray(phases, dtype=float)
-    flat = phases.ravel()
-    # One buffer holds |phase|, the bucket position, then, cast in place to
-    # its int64 view, the bucket and the index: a fresh array per step costs
-    # more in page faults than the arithmetic does.
-    work = np.abs(flat)
-    untrusted = ~(work <= _TRUSTED)  # nan fails the comparison
-    np.multiply(flat, _PER_RADIAN, out=work)
-    work[untrusted] = 0.0  # before the cast, which warns on nan and inf
-    np.floor(work, out=work)
-    idx = work.view(np.int64)
-    np.copyto(idx, work, casting="unsafe")
-    idx &= _BUCKETS - 1
-    # the buckets are in range, so "clip" changes none; "raise" would copy
-    np.take(_bucket_owners(phase_set), idx, out=idx, mode="clip")
-    unsure = np.flatnonzero((idx < 0) | untrusted)
-    doubtful = flat[unsure]
-    if not np.all(np.isfinite(doubtful)):
+    if not np.all(np.isfinite(phases)):
         raise DomainError("phases must be finite")
-    idx[unsure] = _quantize_exact(doubtful, phase_set)
-    return idx.reshape(phases.shape)
-
-
-def _quantize_exact(phases: np.ndarray, phase_set: np.ndarray) -> np.ndarray:
-    """The search behind quantize_phases, for finite phases of any magnitude.
-
-    Each wrapped phase is compared by min(|d|, 2*pi - |d|) with just its two
-    circular neighbours, found by binary search, so memory is O(n).  This is
-    the full argmin, exact ties included, unless float distances to two
-    entries tie beyond both, as at 3.5 for entries 1.0 and 1.0 + 2**-52:
-    there it keeps the bracketing entry where the full argmin takes the
-    lower index.
-    """
-    wrapped = np.asarray(phases, dtype=float) % TWO_PI
+    wrapped = phases % TWO_PI
     above = np.searchsorted(phase_set, wrapped, side="right") % phase_set.size
     below = (above - 1) % phase_set.size
 

@@ -193,63 +193,72 @@ def _measured(power: np.ndarray, budget: LinkBudget, seed: int) -> np.ndarray:
     return np.round(power, POWER_DECIMALS)
 
 
-def _magnitudes(spec: ArraySpec, n: int, blocks, tx: Direction,
+def _magnitudes(specs: list, n: int, blocks, tx: Direction,
                 rx_dirs: list) -> np.ndarray:
-    """|y| for each of `n` configs and every rx direction.
+    """|y| for each of `specs`, each of `n` configs and every rx direction,
+    as a (len(specs), n, len(rx_dirs)) array.  The specs are one array
+    under different masks: only their masks may differ.
 
     `blocks` yields (rows, indices): a slice of the configs and their rows
-    of phase-set indices, valid until the next block is asked for.  Each
-    index is looked up in the phasor table exp(1j * phase_set), which
-    equals exp(1j * phase) cell by cell.  The blocks must be the product
-    blocks, _row_blocks(n, spec.size, _PRODUCT_ROWS): whole 64-config
-    multiples (about _BLOCK_ELEMENTS cells), a remainder under 64 configs
-    merged into the last block.  So no block is a one-row matrix-vector
-    product, whose sums round differently, and every block starts on the
-    kernels' row unroll: each |y| keeps the bits of one product over all
-    rows, however the indices were made.
+    of phase-set indices, valid until the next block is asked for.  It is
+    read once, whatever the number of specs.  Each index is looked up in
+    the phasor table exp(1j * phase_set), which equals exp(1j * phase) cell
+    by cell.  The blocks must be the product blocks, _row_blocks(n,
+    spec.size, _PRODUCT_ROWS): whole 64-config multiples (about
+    _BLOCK_ELEMENTS cells), a remainder under 64 configs merged into the
+    last block.  So no block is a one-row matrix-vector product, whose sums
+    round differently, and every block starts on the kernels' row unroll:
+    each |y| keeps the bits of one product over all rows, however the
+    indices were made.
 
-    Every block is gathered into the head of one buffer sized to the
-    largest block and scaled in place; IEEE products commute, so this
-    keeps the bits of ``spec.mask * phasors[indices] * g``.  The gather
-    casts its indices to intp, so it runs in row slices whose intp copy
-    stays within _BLOCK_ELEMENTS bytes (one row when a row holds more).
+    For each spec in turn, every block is gathered into the head of one
+    buffer sized to the largest block and scaled in place; IEEE products
+    commute, so this keeps the bits of ``spec.mask * phasors[indices] *
+    g``.  The gather casts its indices to intp, so it runs in row slices
+    whose intp copy stays within _BLOCK_ELEMENTS bytes (one row when a row
+    holds more).
     """
+    spec = specs[0]
     g = np.exp(1j * element_phase_profile(spec, tx))
     h = np.empty((spec.size, len(rx_dirs)), dtype=complex)  # conjugated
     for col, rx in enumerate(rx_dirs):
         h[:, col] = np.exp(-1j * element_phase_profile(spec, rx))
     phasors = np.exp(1j * spec.phase_set)
-    mag = np.empty((n, len(rx_dirs)))    # (n_cfg, n_rx)
+    mag = np.empty((len(specs), n, len(rx_dirs)))
     largest = max((b.stop - b.start
                    for b in _row_blocks(n, spec.size, _PRODUCT_ROWS)),
                   default=0)
     buf = np.empty((largest, spec.size), dtype=complex)
     for rows, block in blocks:
         excited = buf[:rows.stop - rows.start]
-        for part in _row_blocks(block.shape[0], spec.size * _INTP_BYTES):
-            # the indices are in range, so clipping changes none; unlike
-            # the default mode it writes to `out` without a copy
-            np.take(phasors, block[part], out=excited[part], mode="clip")
-        excited *= spec.mask
-        excited *= g
-        np.abs(excited @ h, out=mag[rows])
+        for masked, out in zip(specs, mag):
+            for part in _row_blocks(block.shape[0], spec.size * _INTP_BYTES):
+                # the indices are in range, so clipping changes none;
+                # unlike the default mode it writes to `out` without a copy
+                np.take(phasors, block[part], out=excited[part], mode="clip")
+            excited *= masked.mask
+            excited *= g
+            np.abs(excited @ h, out=out[rows])
     return mag
 
 
-def _rsrp_matrix(spec: ArraySpec, n: int, blocks, tx: Direction,
-                 rx_dirs: list, budget: LinkBudget) -> np.ndarray:
-    """Noise-free RSRP for each of `n` configs, given as the product
-    `blocks` of _magnitudes, and every rx direction.
+def _rsrp_matrices(specs: list, n: int, blocks, tx: Direction,
+                   rx_dirs: list, budget: LinkBudget) -> list:
+    """Noise-free RSRP for each of `specs`, one (n, len(rx_dirs)) matrix
+    each, from one pass over the product `blocks` of _magnitudes.
 
     Same math as the scalar rsrp(), vectorized over both axes.
     """
-    m = spec.active_count
-    if m == 0:
-        return np.full((n, len(rx_dirs)), float(budget.noise_floor_dbm))
-    mag = _magnitudes(spec, n, blocks, tx, rx_dirs)
-    with np.errstate(divide="ignore"):
-        signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
-    return _combine_with_floor(signal, budget.noise_floor_dbm)
+    out = []
+    for spec, mag in zip(specs, _magnitudes(specs, n, blocks, tx, rx_dirs)):
+        m = spec.active_count
+        if m == 0:
+            out.append(np.full(mag.shape, float(budget.noise_floor_dbm)))
+            continue
+        with np.errstate(divide="ignore"):
+            signal = budget.calibration_dbm + 20.0 * np.log10(mag / m)
+        out.append(_combine_with_floor(signal, budget.noise_floor_dbm))
+    return out
 
 
 def _product_blocks(codebook):
@@ -272,9 +281,9 @@ def sweep_beampattern(codebook: Codebook, geometry: ChamberGeometry,
     seed = _check_sweep(codebook, geometry, seed)
     rotations = geometry.rotations()
     rx_dirs = [geometry.rx_dir(r) for r in rotations]
-    power = _rsrp_matrix(codebook.spec, len(codebook),
-                         _product_blocks(codebook),
-                         geometry.tx_dir, rx_dirs, budget)
+    [power] = _rsrp_matrices([codebook.spec], len(codebook),
+                             _product_blocks(codebook),
+                             geometry.tx_dir, rx_dirs, budget)
     return BeampatternTable(codebook.beams.copy(), rotations.astype(float),
                             _measured(power, budget, seed),
                             float(geometry.tx_dir.azimuth_deg))
@@ -286,18 +295,19 @@ def sweep_absorption(codebook: Codebook, geometry: ChamberGeometry,
     of the codebook's array, which may have no absorbing elements.
 
     Columns, and the noise stream column indices, follow the paper's
-    subarray sides in increasing order.
+    subarray sides in increasing order.  Every side is measured in one
+    pass over the codebook's product blocks, so a codebook._StreamedCodebook
+    quantizes each block once.
     """
     seed = _check_sweep(codebook, geometry, seed)
     _refuse_absorbing(codebook.spec, "subarray masks replace the array's own")
-    rx = [geometry.rx_dir(0.0)]
-    columns = [_rsrp_matrix(masked, len(codebook),
-                            _product_blocks(codebook),
-                            geometry.tx_dir, rx, budget)[:, 0]
-               for masked in absorption_masks(codebook.spec)]
+    powers = _rsrp_matrices(absorption_masks(codebook.spec), len(codebook),
+                            _product_blocks(codebook), geometry.tx_dir,
+                            [geometry.rx_dir(0.0)], budget)
     counts = np.array([s * s for s in _SIDES], dtype=int)
+    power = np.column_stack([p[:, 0] for p in powers])
     return AbsorptionTable(codebook.beams.copy(), counts,
-                           _measured(np.column_stack(columns), budget, seed))
+                           _measured(power, budget, seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,15 +68,13 @@ def _cmd_codebook(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_campaign_config(args.config)
+    # quantized a block of beams at a time as it is swept, so the index
+    # matrix is never held whole
+    codebook = _StreamedCodebook(config.array, config.geometry.tx_dir,
+                                 config.grid, config.mode)
     if args.dataset == "beampattern":
-        # quantized a block of beams at a time as it is swept, so the
-        # index matrix is never held whole
-        codebook = _StreamedCodebook(config.array, config.geometry.tx_dir,
-                                     config.grid, config.mode)
         sweep, write = sweep_beampattern, write_beampattern
     else:
-        codebook = build_codebook(config.array, config.geometry.tx_dir,
-                                  config.grid, config.mode)
         sweep, write = sweep_absorption, write_absorption
     table = sweep(codebook, config.geometry, config.budget, seed=config.seed)
     path = _out_path(config, args.out, f"{args.dataset}.csv")

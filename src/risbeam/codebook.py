@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import (_PER_RADIAN, _TRUSTED, ArraySpec, Direction,
-                          PhaseConfig, _bucket_owners, element_phase_profile,
-                          quantize_phases, TWO_PI)
+from .array_model import (ArraySpec, Direction, PhaseConfig,
+                          element_phase_profile, quantize_phases, TWO_PI)
 from .datasets import (_as_beams, _ascii_rows, _beam_index, _check_beams,
                        _fixed_rows, _fmt_angle, _fmt_exact, _header,
                        _iter_lines, _parse_rows, _write_rows)
@@ -43,6 +42,14 @@ _SIDES = (2, 4, 8, 10)  # the paper's absorption subarray sides
 _BLOCK_ELEMENTS = 1 << 18
 # np.take copies its indices as intp: one cell's share of such a copy
 _INTP_BYTES = np.dtype(np.intp).itemsize
+# The bucket table of _index_blocks: [0, 2*pi) is cut into _BUCKETS equal
+# buckets, and when a phase may exceed _TRUSTED in magnitude every cell
+# skips the table.  Up to that magnitude a cell's fixed-point position is
+# within 2**-14 of a bucket of its float phase, far inside the
+# quarter-bucket margin the table keeps.
+_BUCKETS = 1 << 16
+_TRUSTED = float(1 << 20)
+_PER_RADIAN = _BUCKETS / TWO_PI
 
 
 def _check_mode(mode) -> None:
@@ -185,10 +192,39 @@ class _StreamedCodebook:
         return _index_blocks(self.spec, self.tx, self.grid, self.mode, cuts)
 
 
+def _bucket_owners(phase_set: np.ndarray) -> np.ndarray:
+    """The phase-set index that owns each bucket, or K = phase_set.size,
+    one past the last index, where the table cannot settle a phase.
+
+    Entry k owns the arc between its two circular midpoints; the gap from
+    entry K-1 round to entry 0 holds 2*pi, so the table starts with its
+    part past 2*pi and ends with its part below.  A phase more than a
+    quarter bucket from every midpoint is nearer to one of its two
+    bracketing entries by far more than float rounding, and
+    quantize_phases, which compares just those two, picks that owner.
+    Buckets near a midpoint are unsettled, and so is every bucket when all
+    entries lie within one: the short way round, both ends of such a
+    cluster are then about equally far from any phase.
+    """
+    k = phase_set.size
+    dtype = np.min_scalar_type(k)
+    gaps = np.diff(phase_set, append=phase_set[0] + TWO_PI)
+    if (TWO_PI - gaps.max()) * _PER_RADIAN < 1.0:
+        return np.full(_BUCKETS, k, dtype=dtype)
+    mids = (phase_set + gaps / 2) * _PER_RADIAN
+    edges = np.ceil(mids).astype(np.intp)
+    bounds = np.clip(np.append(edges[-1] - _BUCKETS, edges), 0, _BUCKETS)
+    owners = np.repeat(np.r_[k - 1, 0:k, 0].astype(dtype),
+                       np.diff(bounds, prepend=0, append=_BUCKETS))
+    near = np.floor(mids[:, None] + [-0.25, 0.25]).astype(np.intp)
+    owners[near & (_BUCKETS - 1)] = k
+    return owners
+
+
 def _fixed_point(phases: np.ndarray) -> np.ndarray:
     """Phases as uint32 positions on the circle: one turn is 2**32, so a
-    bucket of quantize_phases' table is 2**16 and the top 16 bits name it.
-    The phases must be finite and within 2**20 in magnitude."""
+    bucket of the table is 2**16 and the top 16 bits name it.  The phases
+    must be finite and within _TRUSTED in magnitude."""
     # int64 to uint32 wraps modulo 2**32, i.e. modulo one turn
     return np.rint(phases * (_PER_RADIAN * (1 << 16))).astype(
         np.int64).astype(np.uint32)
@@ -211,7 +247,8 @@ def _index_blocks(spec: ArraySpec, tx: Direction, grid: CodebookGrid,
     The phase of cell (ix, iy) in beam (az, el) is separable: px[az, ix] +
     py[el, iy] minus the tx profile ptx[ix] + pty[iy].  Each axis keeps
     px - ptx or py - pty as fixed-point positions, and a part of a block
-    costs one uint32 add and one lookup in quantize_phases' bucket table.
+    costs one uint32 add and one lookup in the bucket table of
+    _bucket_owners.
     A settled bucket lies at least a quarter bucket from every midpoint
     between entries, and a position is within 2**-14 bucket of the exact
     float phase, so both have the same nearest entry.  Cells in unsettled
@@ -247,8 +284,6 @@ def _index_blocks(spec: ArraySpec, tx: Direction, grid: CodebookGrid,
         ay = _fixed_point(py - tx_grid[0])
         unsettled = spec.phase_set.size  # one past the last index
         owners = _bucket_owners(spec.phase_set)
-        owners = np.where(owners < 0, unsettled, owners).astype(
-            np.min_scalar_type(unsettled))
         # per-part buffers, sized for the first part, the longest
         longest = _row_blocks(*out.shape)[0].stop * spec.size
         pos = np.empty(longest, dtype=np.uint32)

@@ -213,10 +213,12 @@ def _as_beams(beams) -> np.ndarray:
 
 
 def _check_beams(beams: np.ndarray) -> None:
-    """Beams are dataset keys: each finite and none repeated."""
+    """Beams are dataset keys: each finite and none repeated.  Sorted, a
+    repeat lies next to its twin; -0.0 equals 0.0 in the sort and the test."""
     if not np.all(np.isfinite(beams)):
         raise DomainError("beam angles must be finite")
-    if len(set(map(tuple, beams.tolist()))) != beams.shape[0]:
+    ordered = beams[np.lexsort((beams[:, 1], beams[:, 0]))]
+    if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
         raise DomainError("duplicate beams")
 
 

@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.array_model import (
-    _BUCKETS,
-    _TRUSTED,
-    _quantize_exact,
     ArraySpec,
     Direction,
     PhaseConfig,
@@ -22,6 +19,7 @@ from risbeam.array_model import (
     steering_vector,
     uniform_phase_set,
 )
+from risbeam.codebook import _BUCKETS, _TRUSTED
 from risbeam.errors import DomainError
 
 QUANT_LOSS_FLOOR_DB = 20.0 * math.log10(math.cos(math.pi / 8))  # -0.68769...
@@ -320,9 +318,10 @@ BUCKET = TWO_PI / _BUCKETS
 def hard_points(phase_set):
     """Both float neighbours of every circular midpoint, of the bucket
     edges around it and of every entry, plus the points around 0 and 2*pi:
-    where the bucket table must hand over to the exact search.  The
+    where the codebook's bucket table hands over to quantize_phases.  The
     midpoints also come shifted by whole turns to just inside and far past
-    the trust limit, where rounding moves them by up to a few buckets."""
+    the table's trust limit, where rounding moves them by up to a few
+    buckets."""
     mids = phase_set + np.diff(phase_set, append=phase_set[0] + TWO_PI) / 2
     edges = np.concatenate([np.floor(mids / BUCKET), np.ceil(mids / BUCKET),
                             np.floor(phase_set / BUCKET)]) * BUCKET
@@ -336,20 +335,22 @@ def hard_points(phase_set):
 
 
 def assert_exact(points, phase_set):
-    """quantize_phases equals the dense oracle and the exact helper, and a
-    2-d input keeps its shape."""
+    """quantize_phases equals the dense oracle, and a 2-d input keeps its
+    shape."""
     points = np.asarray(points, float)
     expected = np.concatenate([dense_argmin(chunk, phase_set) for chunk
                                in np.array_split(points, points.size // 256 + 1)])
     got = quantize_phases(points, phase_set)
     np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(_quantize_exact(points, phase_set), expected)
     both = quantize_phases(np.stack([points, points[::-1]]), phase_set)
     assert both.shape == (2, points.size)
     np.testing.assert_array_equal(both, [expected, expected[::-1]])
 
 
 class TestBucketTable:
+    """quantize_phases at the points that are hard for the codebook's bucket
+    table (codebook._bucket_owners), against the dense oracle."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(phase_sets,
                      st.sampled_from([uniform_phase_set(1)] + ULP_SETS)),
@@ -357,8 +358,7 @@ class TestBucketTable:
            st.lists(st.floats(_TRUSTED, 1e300).flatmap(
                lambda v: st.sampled_from([v, -v])), max_size=5),
            st.lists(st.integers(0, _BUCKETS - 1), max_size=20))
-    def test_matches_dense_argmin_and_exact_helper(self, phase_set, values,
-                                                   huge, buckets):
+    def test_matches_dense_argmin(self, phase_set, values, huge, buckets):
         edges = np.array(buckets, dtype=float) * BUCKET
         points = np.concatenate([
             values, huge, hard_points(phase_set), edges,
@@ -378,29 +378,28 @@ class TestBucketTable:
     def test_4096_states(self, rng):
         # Outside the property above, which would redo the dense oracle on
         # every example.  The oracle takes seconds on all hard points and
-        # bucket edges at 4096 entries, so it checks a sample of them, and
-        # the exact helper, checked against it above, checks them all.
+        # bucket edges at 4096 entries, so it checks a sample of them.
         phase_set = uniform_phase_set(4096)
         edges = np.arange(_BUCKETS) * BUCKET
         points = np.concatenate([hard_points(phase_set), edges,
                                  np.nextafter(edges, np.inf),
                                  np.nextafter(edges, -np.inf)])
-        np.testing.assert_array_equal(quantize_phases(points, phase_set),
-                                      _quantize_exact(points, phase_set))
         assert_exact(np.concatenate([rng.choice(points, 4000),
                                      rng.uniform(-1e7, 1e7, 1000)]),
                      phase_set)
 
-    def test_float_ties_beyond_two_entries_follow_the_exact_helper(self):
+    def test_float_ties_beyond_two_entries_keep_the_bracketing_entry(self):
         # From 3 to 3.5 the float distances to 1.0 and 1.0 + 2**-52 often
-        # tie.  The full argmin then takes entry 0, the exact helper keeps
-        # the bracketing entry 1, and quantize_phases gives the helper's
-        # answer everywhere.
+        # tie.  The full argmin then takes entry 0, and quantize_phases,
+        # which compares only the two bracketing entries, keeps entry 1.
         phase_set = np.array([1.0, 1.0 + 2**-52, 6.0])
-        points = np.concatenate([hard_points(phase_set),
-                                 np.arange(_BUCKETS) * BUCKET])
-        np.testing.assert_array_equal(quantize_phases(points, phase_set),
-                                      _quantize_exact(points, phase_set))
+        points = np.append(np.linspace(3.0, 3.5, 1001), 3.5)
+        got = quantize_phases(points, phase_set)
+        expected = dense_argmin(points, phase_set)
+        apart = got != expected
+        assert apart[-1]  # 3.5, the case the docstring names
+        np.testing.assert_array_equal(got, 1)
+        np.testing.assert_array_equal(expected[apart], 0)
 
     def test_scalar_and_empty_keep_their_shape(self):
         phase_set = uniform_phase_set(8)

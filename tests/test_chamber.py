@@ -26,7 +26,7 @@ from risbeam.chamber import (
     _combine_with_floor,
     _magnitudes,
     _noise_means,
-    _rsrp_matrix,
+    _rsrp_matrices,
     field_regions,
     rsrp,
     sample_count_study,
@@ -385,9 +385,10 @@ def _masked(spec, kind, rng):
 
 
 class TestPhasorLookup:
-    """_rsrp_matrix looks each index up in exp(1j * phase_set) and runs the
-    product in blocks of whole 64-config multiples; the result must equal
-    the one-product exp(1j * phases) path exactly."""
+    """_rsrp_matrices looks each index up in exp(1j * phase_set) and runs
+    the product in blocks of whole 64-config multiples, for every mask in
+    one pass over the blocks; the result must equal the one-product
+    exp(1j * phases) path exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(nx=st.integers(1, 20), ny=st.integers(1, 20),
@@ -418,18 +419,22 @@ class TestPhasorLookup:
         budget = LinkBudget(sample_sigma_db=0.0)
         block = (codebook_module._BLOCK_ELEMENTS if block_rows is None
                  else block_rows * spec.size)
+        # the complement of "full" absorbs everywhere: the noise floor
+        specs = [spec, spec.with_mask(~spec.mask)]
         with mock.patch.object(codebook_module, "_BLOCK_ELEMENTS", block):
-            mag = _magnitudes(spec, configs, product_slices(indices), tx,
-                              rx_dirs)
-            got = _rsrp_matrix(spec, configs, product_slices(indices), tx,
-                               rx_dirs, budget)
+            mags = _magnitudes(specs, configs, product_slices(indices), tx,
+                               rx_dirs)
+            got = _rsrp_matrices(specs, configs, product_slices(indices), tx,
+                                 rx_dirs, budget)
         phases = phase_set[indices]
-        # the dB conversion can round away last-bit changes of |y|, so |y| is
-        # compared too
-        np.testing.assert_array_equal(
-            mag, one_product_magnitudes(spec, phases, tx, rx_dirs))
-        np.testing.assert_array_equal(
-            got, phase_rsrp_matrix(spec, phases, tx, rx_dirs, budget))
+        assert mags.shape == (2, configs, rx_count) and len(got) == 2
+        for masked, mag, power in zip(specs, mags, got):
+            # the dB conversion can round away last-bit changes of |y|, so
+            # |y| is compared too
+            np.testing.assert_array_equal(
+                mag, one_product_magnitudes(masked, phases, tx, rx_dirs))
+            np.testing.assert_array_equal(
+                power, phase_rsrp_matrix(masked, phases, tx, rx_dirs, budget))
 
     def test_sweeps_match_phase_matrix(self, default_spec, default_codebook,
                                        default_geometry, quiet_budget,

@@ -237,7 +237,7 @@ class TestBuildCodebook:
 
 def clustered_phase_sets():
     """Up to 8 entries within 2**-17 turn, which is less than one bucket
-    of quantize_phases' table, so every bucket is unsettled."""
+    of the codebook's bucket table, so every bucket is unsettled."""
     return st.builds(
         lambda start, offsets: np.unique(start + np.array(offsets)),
         st.floats(0.0, TWO_PI - 1e-4),
@@ -316,6 +316,35 @@ class TestBlockwiseBuild:
         assert quantized == cb.indices.size
         np.testing.assert_array_equal(cb.indices, whole_matrix_indices(
             spec, tx, CodebookGrid(), MODE_TX_COMPENSATED))
+
+    @pytest.mark.parametrize("phase_set, settles", [
+        (uniform_phase_set(1), False),
+        (uniform_phase_set(8), True),
+        (uniform_phase_set(4096), True),
+        (np.array([1.0, 1.0 + 2**-52, 1.0 + 2**-51, 4.0]), True),
+        (np.array([0.0, np.pi, np.nextafter(np.pi, 4),
+                   np.nextafter(TWO_PI, 0)]), True),
+        (np.array([0.0, 2**-40, 3.0]), True),
+        (np.array([5.0, np.nextafter(5.0, 6)]), False),
+        (np.array([2.0, 2.0 + 2**-30, 2.0 + 2**-20]), False),
+        (np.array([2.0, 2.0 + 1e-6, 2.0 + 3e-6, 2.0 + 5e-3]), True)],
+        ids=["K=1", "K=8", "K=4096", "ulps-a", "ulps-b", "ulps-c", "ulps-d",
+             "clustered", "clustered-pair"])
+    def test_settled_buckets_quantize_to_their_owner(self, phase_set,
+                                                     settles):
+        """Both edges of every settled bucket of the table, and their float
+        neighbours, quantize to the bucket's owner; a set within one
+        bucket settles none."""
+        owners = codebook_module._bucket_owners(phase_set)
+        assert owners.shape == (codebook_module._BUCKETS,)
+        settled = np.flatnonzero(owners < phase_set.size)
+        assert (settled.size > 0) == settles
+        bucket = TWO_PI / codebook_module._BUCKETS
+        edges = np.concatenate([settled, settled + 1]) * bucket
+        points = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf)])
+        np.testing.assert_array_equal(quantize_phases(points, phase_set),
+                                      np.tile(owners[settled], 6))
 
     def test_non_finite_phases_refused(self):
         # 2*pi*delta would overflow, and 0 * inf is nan: the array is

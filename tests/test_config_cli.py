@@ -444,6 +444,37 @@ class TestSimulateCommand:
         assert "61 rows x 4 columns" in capsys.readouterr().out
         read_table(out).validate()
 
+    @pytest.mark.parametrize("dataset", ["beampattern", "absorption"])
+    def test_each_grid_cell_is_quantized_once(self, dataset, tmp_path,
+                                              capsys):
+        """Both datasets sweep blocks quantized as they come, and build no
+        codebook.  The absorption sweep measures every subarray from each
+        block, so each cell of the grid passes through _index_blocks once,
+        not once per subarray.  Small blocks make the sweep take many."""
+        ini = tmp_path / "quiet.ini"
+        ini.write_text("[budget]\nsample_sigma_db = 0\n")
+        config = load_campaign_config(ini)
+        blocks = []
+        index_blocks = codebook._index_blocks
+
+        def spy(*args):
+            for rows, block in index_blocks(*args):
+                blocks.append((rows, block.size))
+                yield rows, block
+
+        with mock.patch.object(codebook, "_index_blocks", spy), \
+                mock.patch.object(codebook, "_BLOCK_ELEMENTS",
+                                  64 * config.array.size), \
+                mock.patch.object(cli, "build_codebook",
+                                  side_effect=AssertionError):
+            assert main(["simulate", "--config", str(ini), "--dataset",
+                         dataset, "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(blocks) > 10
+        assert [r for rows, _ in blocks for r in range(rows.start, rows.stop)
+                ] == list(range(len(config.grid)))
+        assert sum(size for _, size in blocks) == (len(config.grid)
+                                                   * config.array.size)
+
 
 @pytest.fixture(scope="module")
 def slice_absorption_csv(tmp_path_factory):

@@ -93,6 +93,23 @@ class TestBeampatternTable:
         with pytest.raises(DomainError):
             t.validate()
 
+    @pytest.mark.parametrize("beams, repeated", [
+        ([(-0.0, 3.0), (1.0, 3.0), (0.0, 3.0)], True),
+        ([(1.0, -0.0), (1.0, 0.0)], True),
+        ([(2.0, 1.0), (1.0, 1.0), (2.0, 1.0)], True),
+        ([(5.0, 1.0), (1.0, 5.0)], False),
+        ([(1.0, 2.0), (1.0, 3.0), (2.0, 2.0)], False),
+    ])
+    def test_duplicate_beams_are_equal_angles(self, beams, repeated):
+        """-0.0 and 0.0 are one angle, so (-0.0, x) repeats (0.0, x), and
+        a repeat is found wherever it lies in the rows."""
+        t = BeampatternTable(beams, [0.0], [[-60.0]] * len(beams))
+        if repeated:
+            with pytest.raises(DomainError, match="^duplicate beams$"):
+                t.validate()
+        else:
+            t.validate()
+
     def test_validate_catches_nan_and_sanity_floor(self):
         t = BeampatternTable([(0, 0)], [0.0], [[np.nan]])
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
-"""Memory follows the output: the codebook check, the RSRP product, the
-streamed simulate, the chamber noise, the line and codebook readers and
-the power text allocate no array or string the size of their whole input
-beyond what they return.  Each test
+"""Memory follows the output: the codebook check, the duplicate-beam
+check, the RSRP product, the streamed simulate, the chamber noise, the line
+and codebook readers and the power text allocate no array or string the
+size of their whole input beyond what they return.  Each test
 traces one call with tracemalloc, which sees numpy's data buffers as well
 as Python objects."""
 
@@ -62,7 +62,7 @@ def test_magnitudes_peak_is_one_block_buffer():
         0, 8, (1024, spec.size)).astype(_index_type(spec.phase_set))
     rx_dirs = [Direction(float(az), -3.0) for az in range(-90, 91, 3)]
     mag, peak = traced_peak(lambda: _magnitudes(
-        spec, len(indices), product_slices(indices), Direction(0, -33),
+        [spec], len(indices), product_slices(indices), Direction(0, -33),
         rx_dirs))
     block = max(b.stop - b.start
                 for b in _row_blocks(*indices.shape, _PRODUCT_ROWS))
@@ -85,7 +85,7 @@ def test_magnitudes_gathers_a_large_block_in_slices():
             _index_type(spec.phase_set))
     rx_dirs = [Direction(float(az), -3.0) for az in range(-90, 91, 3)]
     mag, peak = traced_peak(lambda: _magnitudes(
-        spec, len(indices), product_slices(indices), Direction(0, -33),
+        [spec], len(indices), product_slices(indices), Direction(0, -33),
         rx_dirs))
     assert _PRODUCT_ROWS * spec.size > _BLOCK_ELEMENTS
     h = spec.size * len(rx_dirs) * np.dtype(complex).itemsize
@@ -96,7 +96,9 @@ def test_magnitudes_gathers_a_large_block_in_slices():
     assert peak < h + g + buf + gather + mag.nbytes + (256 << 10)
 
 
-def test_simulate_peak_does_not_grow_with_the_grid(tmp_path, capsys):
+@pytest.mark.parametrize("dataset", ["beampattern", "absorption"])
+def test_simulate_peak_does_not_grow_with_the_grid(dataset, tmp_path,
+                                                   capsys):
     """simulate quantizes each product block of beams as it sweeps it, so
     beyond the table, its peak stays put when the beam grid doubles: no
     index matrix of the grid (here 4 KB a beam) is held.  Both grids cut
@@ -110,7 +112,8 @@ def test_simulate_peak_does_not_grow_with_the_grid(tmp_path, capsys):
             "azimuth_step_deg = 2\nelevation_min_deg = 0\n"
             f"elevation_max_deg = {elevations - 1}\nelevation_step_deg = 1\n")
         out = tmp_path / f"g{elevations}.csv"
-        argv = ["simulate", "--config", str(ini), "--out", str(out)]
+        argv = ["simulate", "--config", str(ini), "--dataset", dataset,
+                "--out", str(out)]
         assert main(argv) == 0  # first runs allocate once-only state
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0
@@ -134,11 +137,20 @@ def test_read_codebook_peak_is_its_matrix_plus_a_few_chunks(tmp_path):
     assert len(cb) == 1891
     assert p.stat().st_size > 16 * chars  # the file spans many chunks
     returned = cb.indices.nbytes + cb.beams.nbytes
-    # Python objects of the size of a beam or of a column, not of the
-    # file: Codebook's duplicate-beam check makes a tuple of each beam,
-    # and the header's column names are split and built again
-    objects = 256 * len(cb) + 128 * spec.size
+    # arrays of the size of the beams and Python objects of the size of a
+    # column, not of the file: Codebook's duplicate-beam check sorts a copy
+    # of the beams, and the header's column names are split and built again
+    objects = 32 * len(cb) + 128 * spec.size
     assert peak < returned + 4 * chars + objects
+
+
+def test_duplicate_beam_check_makes_no_object_per_beam():
+    """Beams are checked for repeats by one sort: an order and a sorted
+    copy of the beams, about 24 B a beam, and no Python tuple per beam."""
+    n = 100_000
+    beams = np.column_stack(np.divmod(np.arange(n), 400)).astype(float)
+    _, peak = traced_peak(lambda: datasets._check_beams(beams))
+    assert peak < 32 * n
 
 
 @pytest.mark.parametrize("samples", [1, 30])
