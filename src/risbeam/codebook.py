@@ -397,10 +397,11 @@ def _cell_rows(codebook: Codebook):
 def read_codebook(path) -> Codebook:
     """The codebook of a file written by write_codebook.
 
-    Body rows are parsed as the text streams in, into an index matrix
-    allocated once, so the file's text is never held whole.  A file that
-    is not UTF-8 text fails as such whatever else is wrong with it: on any
-    other error the rest of the file is still decoded."""
+    Body rows are parsed a line at a time as the file is read, into an
+    index matrix allocated once, so the file's text is never held whole.
+    A file that is not UTF-8 text fails as such, naming the line of its
+    first undecodable byte, whatever else is wrong with it: on any other
+    error the rest of the file is still decoded."""
     lines = _iter_lines(path)
     try:
         return _parse_codebook(path, lines)

@@ -21,6 +21,7 @@ with renamed headers can be ingested without rewriting them.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -147,35 +148,25 @@ def _fmt_exact(v: float) -> str:  # 17 digits: reads back the same float
     return "%.17g" % v
 
 
-# characters decoded per read of a text file: a default-campaign table
-# (1.3 MB) is one read, a 64x64 codebook (16 MB) streams
-_READ_CHARS = 1 << 21
-# str.splitlines breaks; "\r" is absent, the reader translates it to "\n"
-_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _iter_lines(path, error=ParseError):
     """Lines of a UTF-8 text file, without a leading byte-order mark, as
-    they are read; undecodable bytes raise `error`.  The text streams in
-    chunks of _READ_CHARS characters and each chunk's lines are let go
-    before the next is read, so a consumer that keeps no line holds a few
-    chunks at most.  A chunk's unfinished last line goes on in the
-    next chunk; the reader holds back a carriage return that ends a chunk,
-    so a CR LF split across two chunks stays one break."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tail, mark = "", "\ufeff"  # a byte-order mark opens only the file
-            while chunk := fh.read(_READ_CHARS):
-                # a first chunk of just the mark leaves no text, and no line
-                lines = (tail + chunk.removeprefix(mark)).splitlines() or [""]
-                mark = ""
-                tail = "" if chunk[-1] in _BREAKS else lines.pop()
-                del chunk
-                yield from lines
-                del lines
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from None
-    yield from tail.splitlines()
+    they are read: Python's buffered reader turns CR LF and CR into LF,
+    and each physical line is cut at every other str.splitlines break, so
+    the lines are those of the whole text's splitlines while only one
+    line is held.  The first undecodable byte raises `error` naming its
+    line, numbered as the parsers number theirs, and its column."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+        for n, line in enumerate(lines, start=1):
+            if not line.isascii():
+                try:  # only an undecodable byte, escaped, fails to encode
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise error(f"{path}: line {n}: not UTF-8 text: byte "
+                                f"0x{byte:02x} at column {exc.start + 1}"
+                                ) from None
+            yield line
 
 
 def _read_lines(path, error=ParseError) -> list:
@@ -190,11 +181,12 @@ def _write_lines(path, lines) -> None:
     A missing parent directory is created first.  The lines stream into a
     temp file in the same directory that then replaces `path`, so an
     interrupted write leaves the old file intact and the whole text is
-    never held in memory at once.
+    never held in memory at once.  The temp file's name has a fixed
+    length, so any name the directory can hold can be written.
     """
-    path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = "%s.%d.tmp" % (path, os.getpid())
+    folder = os.path.dirname(os.fspath(path)) or "."
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, ".risbeam-%d.tmp" % os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             for line in lines:

@@ -344,19 +344,17 @@ def block_reference(tmp_path_factory):
 
 
 @settings(max_examples=25, deadline=None)
-@given(block=st.integers(1, 5000), text=st.integers(1, 300),
-       chars=st.integers(1, 4096))
-def test_block_constants_leave_outputs_unchanged(block, text, chars,
+@given(block=st.integers(1, 5000), text=st.integers(1, 300))
+def test_block_constants_leave_outputs_unchanged(block, text,
                                                  block_reference):
-    """The cells quantized, gathered and drawn at a time, the power cells
-    spelled at a time and the characters read at a time change no byte of
-    the codebook and of either table, and no index read back.
-    _PRODUCT_ROWS stays: it sets the product's bits."""
+    """The cells quantized, gathered and drawn at a time and the power
+    cells spelled at a time change no byte of the codebook and of either
+    table, and no index read back.  _PRODUCT_ROWS stays: it sets the
+    product's bits."""
     ini, files, cb = block_reference
     with tempfile.TemporaryDirectory() as d, \
             mock.patch.object(codebook, "_BLOCK_ELEMENTS", block), \
-            mock.patch.object(datasets, "_TEXT_CELLS", text), \
-            mock.patch.object(datasets, "_READ_CHARS", chars):
+            mock.patch.object(datasets, "_TEXT_CELLS", text):
         got_files, got_cb = _block_outputs(ini, Path(d))
     assert got_files == files
     assert (got_cb.spec.nx, got_cb.spec.ny, got_cb.spec.delta, got_cb.tx,

@@ -18,6 +18,7 @@ from risbeam.datasets import (
     AbsorptionTable,
     BeampatternTable,
     _fmt_angle,
+    _write_lines,
     load_column_mapping,
     read_table,
     write_absorption,
@@ -315,6 +316,33 @@ class TestRoundTrips:
         assert read_table(p) == t
 
 
+class TestAtomicWrite:
+    def test_longest_name_the_directory_holds(self, tmp_path):
+        name = "a" * os.pathconf(tmp_path, "PC_NAME_MAX")
+        _write_lines(tmp_path / name, ["x", "y"])
+        assert (tmp_path / name).read_text() == "x\ny\n"
+        assert os.listdir(tmp_path) == [name]
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"old\r\n")
+
+        def lines():
+            yield "new"
+            raise RuntimeError("midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            _write_lines(p, lines())
+        assert p.read_bytes() == b"old\r\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.touch()
+        _write_lines(tmp_path / "t.csv", ["x"])
+        assert (tmp_path / "t.csv").stat().st_mode == plain.stat().st_mode
+
+
 class TestReaderErrors:
     def test_ragged_row_located(self, tmp_path):
         p = tmp_path / "bp.csv"
@@ -363,8 +391,10 @@ class TestReaderErrors:
     def test_non_utf8_is_parse_error(self, tmp_path, reader):
         p = tmp_path / "bp.csv"
         p.write_bytes(b"theta_n,phi_n,rot_0\n0,0,-60\xff\n")
-        with pytest.raises(ParseError, match="UTF-8"):
+        with pytest.raises(ParseError) as exc:
             reader(p)
+        assert str(exc.value) == (
+            f"{p}: line 2: not UTF-8 text: byte 0xff at column 8")
 
     @settings(max_examples=300, deadline=None)
     @given(row=st.integers(0, 2), col=st.integers(0, 4),

@@ -4,9 +4,9 @@ load_column_mapping a dict of known keys, or they raise one of the
 risbeam.errors types, never anything else."""
 
 import inspect
+import io
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,34 +239,60 @@ class _CallerError(Exception):
     pass
 
 
+def _first_bad_byte(data: bytes):
+    """(line, column, byte) of the first undecodable byte of `data`, lines
+    numbered from 1 as splitlines over the text cuts them once CR LF and
+    CR are LF, columns from 1; None if `data` is UTF-8 text."""
+    text = data.decode("utf-8", "surrogateescape").removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").splitlines()
+    for n, line in enumerate(lines, start=1):
+        for c, ch in enumerate(line, start=1):
+            if "\udc80" <= ch <= "\udcff":
+                return n, c, ord(ch) - 0xDC00
+    return None
+
+
+# a break, a character or the mark whose bytes straddle the reader's buffer
+STRADDLE = io.DEFAULT_BUFFER_SIZE - 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(
     st.lists(st.one_of(LINE_TEXT, st.just("\r\n")), max_size=6).map(
         lambda parts: "".join(parts).encode("utf-8")),
     st.builds(lambda text: ("\ufeff" + text).encode("utf-8"), LINE_TEXT),
-    st.binary(max_size=40)),
-    chars=st.integers(1, 3))
-@example(data=b"", chars=1)
-@example(data="\ufeff".encode("utf-8"), chars=1)
-@example(data="\ufeff\r\n".encode("utf-8"), chars=1)
-@example(data=b"a\r\nb\r\r\n\n", chars=2)
-@example(data=b"a\r", chars=1)
-@example(data="x\u2028\x85\x0b\x1c\r".encode("utf-8"), chars=3)
-@example(data=b"ok\n\xff\n", chars=1)
-def test_read_lines_matches_whole_text(data, chars):
-    """Read in chunks of 1-3 characters, so chunk ends fall inside every
-    break and next to the byte-order mark, the lines are those of the
-    whole decoded text; undecodable bytes raise the caller's error."""
-    try:
-        expected = data.decode("utf-8").removeprefix("\ufeff").splitlines()
-    except UnicodeDecodeError:
-        expected = None
-    with tempfile.TemporaryDirectory() as d, \
-            mock.patch.object(datasets, "_READ_CHARS", chars):
+    st.builds(lambda a, bad, b: a.encode("utf-8") + bad + b.encode("utf-8"),
+              LINE_TEXT, st.binary(min_size=1, max_size=3), LINE_TEXT),
+    st.binary(max_size=40)))
+@example(data=b"")
+@example(data="\ufeff".encode("utf-8"))
+@example(data="\ufeff\r\n".encode("utf-8"))
+@example(data=b"a\r\nb\r\r\n\n")
+@example(data=b"a\r")
+@example(data="x\u2028\x85\x0b\x1c\r".encode("utf-8"))
+@example(data=b"ok\n\xff\n")
+@example(data=b"a\x0bb\r\nc\xe2\x82x")
+@example(data=b"a" * STRADDLE + b"\r\nb\n")
+@example(data=b"a" * STRADDLE + b"\r\r\n")
+@example(data=("a" * STRADDLE + "\u00e9\u2028\n").encode("utf-8"))
+@example(data=("\ufeff" + "a" * (STRADDLE - 3) + "\ufeff\n").encode("utf-8"))
+@example(data=b"\n" * STRADDLE + b"\xe2\x82x\n")
+def test_read_lines_matches_whole_text(data):
+    """The lines are those of the whole decoded text, also where a break,
+    a character or the byte-order mark straddles the reader's buffer; the
+    first undecodable byte raises the caller's error naming its line and
+    column."""
+    bad = _first_bad_byte(data)
+    with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "t.txt"
         p.write_bytes(data)
-        if expected is None:
-            with pytest.raises(_CallerError, match="not UTF-8"):
-                datasets._read_lines(p, _CallerError)
+        if bad is None:
+            expected = data.decode("utf-8").removeprefix("\ufeff")
+            assert datasets._read_lines(p, _CallerError) == \
+                expected.splitlines()
         else:
-            assert datasets._read_lines(p, _CallerError) == expected
+            with pytest.raises(_CallerError) as exc:
+                datasets._read_lines(p, _CallerError)
+            n, c, byte = bad
+            assert str(exc.value) == (f"{p}: line {n}: not UTF-8 text: "
+                                      f"byte 0x{byte:02x} at column {c}")
